@@ -2,8 +2,8 @@
 
 Exit codes are uniform: 0 success, 1 data/validation error, 2 usage
 error.  Results go to stdout; diagnostics and advisories go to stderr so
-pipelines stay clean.  Flags and file formats are documented in
-MANUAL.md.
+pipelines stay clean.  Bad input files, unreadable paths and input that
+is not UTF-8 exit 1 with one `aranlp: error:` line.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
@@ -348,25 +349,21 @@ def _cmd_ner_eval(args) -> int:
         type_order = sorted(order, key=order.get)
         gold = [ner.project_flat(s, type_order) for s in gold]
         pred = [ner.project_flat(s, type_order) for s in pred]
-    per_type: dict[str, list[int]] = {}
-    total_gold = total_pred = total_correct = 0
+    # Spans are matched as multisets within each sentence, as span_f1
+    # matches them; the counts are then summed per type and overall.
+    gold_n, pred_n, correct_n = Counter(), Counter(), Counter()
     for g_spans, p_spans in zip(gold, pred):
-        g_set = {(s.start, s.end, s.type) for s in g_spans}
-        p_set = {(s.start, s.end, s.type) for s in p_spans}
-        for key in g_set | p_set:
-            counts = per_type.setdefault(key[2], [0, 0, 0])
-            counts[0] += key in g_set
-            counts[1] += key in p_set
-            counts[2] += key in g_set and key in p_set
-        total_gold += len(g_set)
-        total_pred += len(p_set)
-        total_correct += len(g_set & p_set)
+        g = Counter((s.start, s.end, s.type) for s in g_spans)
+        p = Counter((s.start, s.end, s.type) for s in p_spans)
+        gold_n.update(s.type for s in g_spans)
+        pred_n.update(s.type for s in p_spans)
+        correct_n.update(type_name for _, _, type_name in (g & p).elements())
     categories = []
-    for type_name in sorted(per_type):
-        g, p, c = per_type[type_name]
-        prf = _prf(g, p, c)
+    for type_name in sorted(gold_n | pred_n):
+        g, p, c = gold_n[type_name], pred_n[type_name], correct_n[type_name]
+        prf = ner.prf_from_counts(g, p, c)
         categories.append(evaluation.CategoryResult(type_name, g, p, c, prf.f1))
-    overall = _prf(total_gold, total_pred, total_correct)
+    overall = ner.prf_from_counts(gold_n.total(), pred_n.total(), correct_n.total())
     report = evaluation.EvalReport(
         f"span evaluation ({args.mode}, exact match)", "F1", tuple(categories), overall.f1
     )
@@ -378,15 +375,6 @@ def _cmd_ner_eval(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _prf(gold: int, pred: int, correct: int) -> ner.PRF:
-    if gold == 0 and pred == 0:
-        return ner.PRF(1.0, 1.0, 1.0)
-    precision = correct / pred if pred else 0.0
-    recall = correct / gold if gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ner.PRF(precision, recall, f1)
 
 
 # --- wsd ---------------------------------------------------------------------
@@ -696,10 +684,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args) or 0
-    except AranlpError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AranlpError, OSError, UnicodeDecodeError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

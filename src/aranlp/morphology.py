@@ -10,6 +10,7 @@ error; an optional fallback hook can supply solutions for them.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -79,8 +80,9 @@ def load_tagset() -> frozenset[str]:
     )
 
 
-def load_tag_map() -> dict[str, str]:
-    """The packaged surjective fine -> coarse (40 -> 18) tag mapping."""
+@functools.cache
+def _tag_map() -> dict[str, str]:
+    """The packaged tag map, parsed on first use; never handed out."""
     text = resources.files("aranlp").joinpath("data/pos_map_40_to_18.tsv").read_text("utf-8")
     mapping: dict[str, str] = {}
     for line in text.splitlines():
@@ -91,8 +93,14 @@ def load_tag_map() -> dict[str, str]:
     return mapping
 
 
+def load_tag_map() -> dict[str, str]:
+    """The packaged surjective fine -> coarse (40 -> 18) tag mapping, as a
+    fresh copy the caller may change."""
+    return dict(_tag_map())
+
+
 def coarse_pos(tag: str) -> str:
-    return load_tag_map()[tag]
+    return _tag_map()[tag]
 
 
 def _strip_key(word: str) -> str:

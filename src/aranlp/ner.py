@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
@@ -45,12 +46,6 @@ class EntityTypeSet:
     @classmethod
     def default(cls) -> "EntityTypeSet":
         return cls(default_entity_types())
-
-    def index(self, name: str) -> int:
-        try:
-            return self.types.index(name)
-        except ValueError:
-            raise UnknownEntityType(f"entity type {name!r} is not in the configured set") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self.types
@@ -181,9 +176,20 @@ def run_tagger(tagger: Tagger, tokens: Sequence[str]) -> LabelMatrix:
     return matrix
 
 
+def _extend_ngram(ngram: str, token: str) -> str:
+    return ngram + " " + token
+
+
 class GazetteerTagger:
     """Deterministic baseline tagger: greedy longest-match left-to-right
-    per entity type over surface n-grams of 1..5 tokens."""
+    per entity type over surface n-grams of 1..5 tokens.
+
+    ``classify`` makes one left-to-right pass.  At each start it joins the
+    n-grams of 1..5 tokens incrementally, looks each one up once, and keeps
+    the longest match of each type.  Each matched type's row is then
+    filled greedily: the earliest start not covered by an earlier match
+    claims its longest n-gram.  Types with no match share one all-O row.
+    """
 
     def __init__(self, gazetteer: Mapping[str, str], types: EntityTypeSet | None = None):
         self.types = types if types is not None else EntityTypeSet.default()
@@ -199,21 +205,31 @@ class GazetteerTagger:
 
     def classify(self, tokens: Sequence[str]) -> LabelMatrix:
         tokens = tuple(tokens)
+        size = len(tokens)
+        lookup = self.gazetteer.get
+        # type -> {start: width of the longest n-gram of that type there},
+        # with starts in increasing order.
+        longest: dict[str, dict[int, int]] = {}
+        for i in range(size):
+            ngrams = accumulate(tokens[i:i + GAZETTEER_MAX_TOKENS], _extend_ngram)
+            for width, ngram in enumerate(ngrams, start=1):
+                type_name = lookup(ngram)
+                if type_name is not None:
+                    longest.setdefault(type_name, {})[i] = width
+        all_o = (O,) * size
         labels: dict[str, tuple[str, ...]] = {}
         for type_name in self.types:
-            row = [O] * len(tokens)
-            i = 0
-            while i < len(tokens):
-                matched = 0
-                for n in range(min(GAZETTEER_MAX_TOKENS, len(tokens) - i), 0, -1):
-                    ngram = " ".join(tokens[i:i + n])
-                    if self.gazetteer.get(ngram) == type_name:
-                        row[i] = B
-                        for j in range(i + 1, i + n):
-                            row[j] = I
-                        matched = n
-                        break
-                i += matched or 1
+            matches = longest.get(type_name)
+            if matches is None:
+                labels[type_name] = all_o
+                continue
+            row = [O] * size
+            free = 0
+            for start, width in matches.items():
+                if start >= free:
+                    row[start] = B
+                    row[start + 1:start + width] = [I] * (width - 1)
+                    free = start + width
             labels[type_name] = tuple(row)
         return LabelMatrix(tokens, labels)
 
@@ -258,9 +274,13 @@ def span_f1(gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]) -> PRF:
     """
     gold_counts = Counter((s.start, s.end, s.type) for s in gold)
     pred_counts = Counter((s.start, s.end, s.type) for s in pred)
-    correct = sum((gold_counts & pred_counts).values())
-    n_gold = sum(gold_counts.values())
-    n_pred = sum(pred_counts.values())
+    return prf_from_counts(
+        gold_counts.total(), pred_counts.total(), (gold_counts & pred_counts).total()
+    )
+
+
+def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
+    """Micro scores from span counts, with span_f1's rules for empty sides."""
     if n_gold == 0 and n_pred == 0:
         return PRF(1.0, 1.0, 1.0)
     precision = correct / n_pred if n_pred else 0.0

@@ -86,22 +86,6 @@ TABLE_VERSION, _CATEGORY, _AR2BW = _load_table()
 _BW2AR = {symbol: char for char, symbol in _AR2BW.items()}
 
 ARABIC_LETTERS = frozenset(c for c, cat in _CATEGORY.items() if cat == "letter")
-_DIACRITIC_CHARS = frozenset(
-    c for c, cat in _CATEGORY.items() if cat in ("vowel", "shaddah", "mark")
-)
-
-
-def char_category(ch: str) -> str | None:
-    """Category from the shipped table: letter/vowel/shaddah/mark/tatweel, or None."""
-    return _CATEGORY.get(ch)
-
-
-def is_arabic_letter(ch: str) -> bool:
-    return ch in ARABIC_LETTERS
-
-
-def is_diacritic(ch: str) -> bool:
-    return ch in _DIACRITIC_CHARS
 
 
 def _in_arabic_block(ch: str) -> bool:

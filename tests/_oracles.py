@@ -53,6 +53,31 @@ def reference_flat(spans, type_order):
     return sorted(chosen, key=lambda s: (s.start, s.end, order[s.type]))
 
 
+def reference_gazetteer_rows(gazetteer, types, tokens, max_tokens=5) -> dict:
+    """Gazetteer-tagging oracle: an independent scan per type.  Each type
+    walks the sentence on its own; at every position it tries the widest
+    space-joined n-gram first, and a hit of that type labels it B I...
+    and jumps past it."""
+    tokens = list(tokens)
+    rows = {}
+    for type_name in types:
+        row = ["O"] * len(tokens)
+        pos = 0
+        while pos < len(tokens):
+            width = next(
+                (w for w in range(min(max_tokens, len(tokens) - pos), 0, -1)
+                 if gazetteer.get(" ".join(tokens[pos:pos + w])) == type_name),
+                0,
+            )
+            if width:
+                row[pos:pos + width] = ["B"] + ["I"] * (width - 1)
+                pos += width
+            else:
+                pos += 1
+        rows[type_name] = tuple(row)
+    return rows
+
+
 def spans_overlap(a, b) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from aranlp.cli import dispatch
-from aranlp.ner import EntitySpan, format_span_file
+from aranlp.ner import EntitySpan, format_span_file, span_f1
 from aranlp.wsd import format_annotated_corpus
 
 from _synthetic import build_corpus
@@ -150,6 +150,14 @@ class TestMorphCommand:
         assert dispatch(["morph", "--task", "root", "--dict", MORPH, "--file", str(source)]) == 0
         assert capsys.readouterr().out.rstrip("\n") == "مصر\tمصر\texact"
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        source = tmp_path / "in.txt"
+        source.write_bytes("مصر".encode("cp1256"))
+        assert dispatch(["morph", "--dict", MORPH, "--file", str(source)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("aranlp: error:")
+
     def test_missing_registry_resource(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ARANLP_RESOURCES", str(tmp_path / "nowhere"))
         feed(monkeypatch, "ذهب\n")
@@ -187,6 +195,29 @@ class TestNerCommands:
         flat_out = capsys.readouterr().out
         # flat projection keeps ORG(0,5) on both sides; GPE(6,7) still spurious
         assert "66.67%" in flat_out
+
+    def test_tag_gazetteer_directory_is_data_error(self, tmp_path, monkeypatch, capsys):
+        feed(monkeypatch, EXAMPLE + "\n")
+        assert dispatch(["ner", "tag", "--gazetteer", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("aranlp: error:")
+
+    def test_eval_counts_duplicate_spans_like_span_f1(self, tmp_path, capsys):
+        gold = [[EntitySpan(0, 1, "PERS"), EntitySpan(0, 1, "PERS")]]
+        pred = [[EntitySpan(0, 1, "PERS")]]
+        gold_path, pred_path = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold_path.write_text(format_span_file(gold), encoding="utf-8")
+        pred_path.write_text(format_span_file(pred), encoding="utf-8")
+        argv = ["ner", "eval", "--gold", str(gold_path), "--pred", str(pred_path)]
+        assert span_f1(gold[0], pred[0]).f1 == pytest.approx(2 / 3)
+        assert dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert "66.67%" in captured.out
+        assert "precision 100.00%  recall 50.00%  f1 66.67%" in captured.err
+        assert dispatch([*argv, "--format", "records"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {"gold": 2, "predicted": 1, "correct": 1}.items() <= records[0].items()
 
     def test_eval_misaligned(self, tmp_path, capsys):
         gold_path, pred_path = tmp_path / "gold.tsv", tmp_path / "pred.tsv"

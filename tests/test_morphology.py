@@ -187,6 +187,13 @@ class TestTagInventories:
         assert set(mapping) == tagset
         assert coarse_pos("noun_prop") == "propnoun"
 
+    def test_tag_map_copy_does_not_change_coarse_pos(self):
+        mapping = load_tag_map()
+        mapping["noun_prop"] = "changed"
+        mapping.clear()
+        assert coarse_pos("noun_prop") == "propnoun"
+        assert load_tag_map()["noun_prop"] == "propnoun"
+
     def test_fixture_tags_belong_to_inventory(self, morph_dict):
         tagset = load_tagset()
         for solutions in morph_dict.entries.values():

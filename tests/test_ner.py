@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from aranlp.ner import (
 )
 
 
-from _oracles import reference_decode, reference_flat
+from _oracles import reference_decode, reference_flat, reference_gazetteer_rows
 
 
 class TestDecodeIob:
@@ -161,6 +162,51 @@ class TestGazetteerTagger:
             matrix = tag_gazetteer(filler, gazetteer, types)
             decoded = sorted(decode_matrix(matrix), key=lambda s: (s.start, s.end, s.type))
             assert decoded == sorted(planted, key=lambda s: (s.start, s.end, s.type))
+
+    def test_matches_reference_scan_on_random_gazetteers(self):
+        # A tiny vocabulary with an empty token and tokens holding a space
+        # makes entries collide: overlapping and nested entries of several
+        # types, and entries with a doubled internal space ("a  b" is
+        # "a", "", "b" joined).
+        rng = random.Random(47)
+        vocab = ["a", "b", "c", "", "a b", "b c"]
+        types = EntityTypeSet(("PERS", "ORG", "LOC", "GPE"))
+        seen = Counter()
+        for _ in range(400):
+            sentence = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            gazetteer = {}
+            for _ in range(rng.randint(0, 12)):
+                # Half the entries are windows of the sentence, so they
+                # match; up to 6 tokens, one past the n-gram limit.
+                width = rng.randint(1, 6)
+                if rng.random() < 0.5:
+                    start = rng.randrange(len(sentence))
+                    window = sentence[start:start + width]
+                else:
+                    window = [rng.choice(vocab) for _ in range(width)]
+                entry = " ".join(window)
+                if 1 <= len(entry.split()) <= 5:
+                    gazetteer[entry] = rng.choice(types.types)
+            tagger = GazetteerTagger(gazetteer, types)
+            for tokens in ([], sentence):
+                expected = reference_gazetteer_rows(gazetteer, types, tokens)
+                matrix = tagger.classify(tokens)
+                assert matrix.labels == expected, (tokens, gazetteer)
+                assert list(matrix.types) == list(types)
+                spans = decode_matrix(matrix)
+                seen["empty sentence"] += not tokens
+                for s in spans:
+                    text = " ".join(tokens[s.start:s.end])
+                    seen["5-token match"] += s.length == 5
+                    seen["match at sentence end"] += s.end == len(tokens)
+                    seen["doubled space"] += "  " in text
+                    seen["token with a space"] += any(" " in t for t in tokens[s.start:s.end])
+                    for t in spans:
+                        if t.type != s.type and s.overlaps(t):
+                            seen["overlap across types"] += 1
+                            if t.start <= s.start and s.end <= t.end and s.length < t.length:
+                                seen["nested"] += 1
+        assert len(seen) == 7 and min(seen.values()) > 0, seen
 
 
 class TestSpanF1:
