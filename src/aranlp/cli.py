@@ -15,7 +15,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
+from . import _tsv, evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, MisalignedCorpus, SeedNotInGraphWarning
 from .relatedness import (
     HashedTrigramProvider,
@@ -100,7 +100,7 @@ def _cmd_split(args) -> int:
             attach_separator=not args.drop_separator,
         )
     except ValueError as exc:
-        raise MalformedRow(0, str(exc)) from None
+        raise AranlpError(str(exc)) from None
     sentences = textutils.split_sentences(_read_text(args), config)
     if sentences:
         print("\n".join(sentences))
@@ -123,7 +123,7 @@ def _match_line(w1: str, w2: str, fmt: str) -> str:
 def _cmd_match(args) -> int:
     if args.words:
         if len(args.words) != 2:
-            raise MalformedRow(0, "match takes exactly two words")
+            raise AranlpError("match takes exactly two words")
         print(_match_line(args.words[0], args.words[1], args.format))
         return 0
     out = []
@@ -154,7 +154,7 @@ def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
 def _cmd_jaccard(args) -> int:
     if args.sets:
         if len(args.sets) != 2:
-            raise MalformedRow(0, "jaccard takes exactly two word-list arguments")
+            raise AranlpError("jaccard takes exactly two word-list arguments")
         report = textutils.jaccard(args.sets[0].split(), args.sets[1].split(), args.mode)
         print(_jaccard_output(report, args.format))
         return 0
@@ -233,12 +233,7 @@ def _cmd_morph(args) -> int:
 
 def _load_types(args) -> ner.EntityTypeSet:
     if getattr(args, "types", None):
-        text = Path(args.types).read_text("utf-8")
-        names = tuple(
-            line.strip() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        )
-        return ner.EntityTypeSet(names)
+        return ner.EntityTypeSet(tuple(name.strip() for _, (name,) in _tsv.rows(args.types, 1)))
     return ner.EntityTypeSet.default()
 
 
@@ -286,35 +281,18 @@ def _cmd_ner_tag(args) -> int:
 
 
 def _parse_matrix_blocks(lines) -> list[ner.LabelMatrix]:
+    """Per block, the token line, then one `TYPE<TAB>label label ...` line
+    per type; an invalid matrix is reported at its token line."""
     matrices = []
-    tokens: tuple[str, ...] | None = None
-    rows: dict[str, tuple[str, ...]] = {}
-
-    def close(lineno):
-        nonlocal tokens, rows
-        if tokens is None:
-            return
+    for (lineno, tokens), *row_lines in _tsv.blocks(lines):
+        rows: dict[str, tuple[str, ...]] = {}
+        for row_lineno, line in row_lines:
+            type_name, labels = _tsv.fields(row_lineno, line, 2, "`TYPE<TAB>label label ...`")
+            rows[type_name.strip()] = tuple(labels.split())
         try:
-            matrices.append(ner.LabelMatrix(tokens, rows))
+            matrices.append(ner.LabelMatrix(tuple(tokens.split()), rows))
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from None
-        tokens, rows = None, {}
-
-    lineno = 0
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            close(lineno)
-            continue
-        if tokens is None:
-            tokens = tuple(line.split())
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedRow(lineno, "expected `TYPE<TAB>label label ...`")
-        rows[fields[0].strip()] = tuple(fields[1].split())
-    close(lineno)
     return matrices
 
 
@@ -389,7 +367,7 @@ def _build_verifier(args, dictionary):
     if args.verifier == "overlap":
         return wsd.OverlapVerifier(dictionary)
     if not args.gold:
-        raise MalformedRow(0, "--verifier oracle requires --gold")
+        raise AranlpError("--verifier oracle requires --gold")
     gold_ids = set()
     for sentence in wsd.read_annotated_corpus(args.gold):
         for span in sentence.spans:
@@ -427,11 +405,10 @@ def _cmd_wsd_eval(args) -> int:
     for name, (gold_n, correct, tokens) in totals.items():
         kind = wsd.KIND_BY_CATEGORY[name]
         pred_n = sum(1 for s in pred for span in s.spans if span.kind == kind)
-        score = correct / gold_n if gold_n else 1.0
         categories.append(evaluation.CategoryResult(
-            name, gold_n, pred_n, correct, score, tokens
+            name, gold_n, pred_n, correct, wsd.accuracy_from_counts(totals, name), tokens
         ))
-    overall = wsd.wsd_accuracy(gold, pred, "overall")
+    overall = wsd.accuracy_from_counts(totals)
     report = evaluation.EvalReport(
         "sense annotation accuracy", "accuracy", tuple(categories), overall
     )
@@ -463,7 +440,7 @@ def _cmd_relatedness_eval(args) -> int:
     pairs = load_pairs(args.pairs)
     missing = [i for i, p in enumerate(pairs, start=1) if p.gold is None]
     if missing:
-        raise MalformedRow(missing[0], "relatedness eval requires a gold score on every row")
+        raise AranlpError(f"pair {missing[0]}: relatedness eval requires a gold score on every row")
     provider = HashedTrigramProvider()
     predicted = [relatedness(p, provider) for p in pairs]
     print(f"{spearman([p.gold for p in pairs], predicted):.4f}")
@@ -510,12 +487,7 @@ def _cmd_resources_list(args) -> int:
 
 def _cmd_eval(args) -> int:
     rows = []
-    for lineno, line in enumerate(_read_lines(args), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedRow(lineno, "expected `score<TAB>weight`")
+    for lineno, fields in _tsv.rows(_read_lines(args), 2, "`score<TAB>weight`"):
         score_text, weight_text = fields[0].strip(), fields[1].strip()
         try:
             if score_text.endswith("%"):
@@ -531,7 +503,7 @@ def _cmd_eval(args) -> int:
             raise MalformedRow(lineno, "weights must be positive")
         rows.append((score, weight))
     if not rows:
-        raise MalformedRow(0, "no (score, weight) rows given")
+        raise AranlpError("no (score, weight) rows given")
     print(evaluation.format_percent(evaluation.micro_average(rows)))
     return 0
 

@@ -14,9 +14,9 @@ import functools
 import unicodedata
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
+from . import _tsv
 from .errors import DuplicateExactRow, EmptyDictionary, MalformedRow
 from .script import ar_strip
 
@@ -73,24 +73,16 @@ class TaggedToken:
 
 def load_tagset() -> frozenset[str]:
     """The packaged fine (40-tag) part-of-speech inventory."""
-    text = resources.files("aranlp").joinpath("data/pos_tags_40.txt").read_text("utf-8")
-    return frozenset(
-        line.strip() for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
+    return frozenset(tag.strip() for _, (tag,) in _tsv.rows(_tsv.packaged("pos_tags_40.txt"), 1))
 
 
 @functools.cache
 def _tag_map() -> dict[str, str]:
     """The packaged tag map, parsed on first use; never handed out."""
-    text = resources.files("aranlp").joinpath("data/pos_map_40_to_18.tsv").read_text("utf-8")
-    mapping: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        fine, coarse = line.split("\t")
-        mapping[fine] = coarse
-    return mapping
+    return {
+        fine: coarse
+        for _, (fine, coarse) in _tsv.rows(_tsv.packaged("pos_map_40_to_18.tsv"), 2)
+    }
 
 
 def load_tag_map() -> dict[str, str]:
@@ -114,30 +106,19 @@ def load_dictionary(
 ) -> MorphDictionary:
     """Parse a dictionary TSV: wordform, lemma, pos, root, frequency.
 
-    Repeated wordform rows aggregate into one frequency-sorted list (ties
-    broken lexicographically on lemma, pos, root).  Blank lines and #
-    comments are skipped.  pos tags are validated against ``tagset``
-    (default: the packaged 40-tag inventory; pass an explicit set to
-    override, or an empty set to disable validation).
+    ``source`` is a path or an iterable of lines.  Repeated wordform rows
+    aggregate into one frequency-sorted list (ties broken
+    lexicographically on lemma, pos, root).  pos tags are validated
+    against ``tagset`` (default: the packaged 40-tag inventory; pass an
+    explicit set to override, or an empty set to disable validation).
     """
     if tagset is None:
         tagset = load_tagset()
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        lines = path.read_text("utf-8").splitlines()
-        if version is None:
-            version = path.name
-    else:
-        lines = list(source)
+    if isinstance(source, (str, Path)) and version is None:
+        version = Path(source).name
     grouped: dict[str, list[MorphSolution]] = {}
     seen_rows: set[tuple[str, str, str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedRow(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
+    for lineno, fields in _tsv.rows(source, 5):
         wordform, lemma, pos, root, freq_text = (
             unicodedata.normalize("NFC", f.strip()) for f in fields
         )

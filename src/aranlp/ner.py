@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from importlib import resources
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
+from . import _tsv
 from .errors import MalformedRow, TaggerFailure, UnknownEntityType
 
 B, I, O = "B", "I", "O"
@@ -26,11 +26,7 @@ GAZETTEER_MAX_TOKENS = 5
 
 def default_entity_types() -> tuple[str, ...]:
     """The packaged entity type pack (21 names; PERS/ORG/LOC/GPE required)."""
-    text = resources.files("aranlp").joinpath("data/entity_types.txt").read_text("utf-8")
-    return tuple(
-        line.strip() for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
+    return tuple(name.strip() for _, (name,) in _tsv.rows(_tsv.packaged("entity_types.txt"), 1))
 
 
 @dataclass(frozen=True)
@@ -245,13 +241,7 @@ def tag_gazetteer(
 def load_gazetteer(source: str | Path) -> dict[str, str]:
     """Gazetteer TSV: surface n-gram <TAB> type."""
     gazetteer: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedRow(lineno, f"expected 2 tab-separated fields, got {len(fields)}")
+    for lineno, fields in _tsv.rows(source, 2):
         ngram, type_name = fields[0].strip(), fields[1].strip()
         if not ngram or not type_name:
             raise MalformedRow(lineno, "both n-gram and type must be non-empty")
@@ -290,39 +280,25 @@ def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
 
 
 def read_span_file(source: str | Path) -> list[list[EntitySpan]]:
-    """Span file: one `start<TAB>end<TAB>type` per line; blank lines
-    separate sentence blocks; a block holding the single line `-` is a
-    sentence with no entities."""
+    """Span file: one block per sentence, one `start<TAB>end<TAB>type`
+    line per span; a block holding the single line `-` is a sentence with
+    no entities."""
     sentences: list[list[EntitySpan]] = []
-    current: list[EntitySpan] = []
-    saw_content = False
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            if saw_content:
-                sentences.append(current)
-                current = []
-                saw_content = False
-            continue
-        if line.strip() == "-":
-            saw_content = True
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedRow(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        try:
-            start, end = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedRow(lineno, "start and end must be integers") from None
-        try:
-            current.append(EntitySpan(start, end, fields[2].strip()))
-        except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from None
-        saw_content = True
-    if saw_content:
-        sentences.append(current)
+    for block in _tsv.blocks(source):
+        spans: list[EntitySpan] = []
+        for lineno, line in block:
+            if line.strip() == "-":
+                continue
+            fields = _tsv.fields(lineno, line, 3)
+            try:
+                start, end = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise MalformedRow(lineno, "start and end must be integers") from None
+            try:
+                spans.append(EntitySpan(start, end, fields[2].strip()))
+            except ValueError as exc:
+                raise MalformedRow(lineno, str(exc)) from None
+        sentences.append(spans)
     return sentences
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from . import _tsv
 from .errors import (
     DegenerateConstantInput,
     DimensionMismatch,
@@ -130,13 +131,7 @@ def to_unit_interval(score: float) -> float:
 def load_pairs(source: str | Path) -> list[SentencePair]:
     """Pair file: s1 <TAB> s2 [<TAB> gold] per line."""
     pairs = []
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise MalformedRow(lineno, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
+    for lineno, fields in _tsv.rows(source, (2, 3)):
         gold = None
         if len(fields) == 3:
             try:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 
+from . import _tsv
 from .errors import ConflictingDiacritics, LeadingDiacritic, NonArabicLetter
 
 VOWEL_NAMES = frozenset(
@@ -68,14 +68,13 @@ def _load_table() -> tuple[str, dict[str, str], dict[str, str]]:
     version = "unversioned"
     categories: dict[str, str] = {}
     to_symbol: dict[str, str] = {}
-    text = resources.files("aranlp").joinpath("data/buckwalter.tsv").read_text("utf-8")
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(_tsv.packaged("buckwalter.tsv"), start=1):
         line = raw.strip("\n")
         if not line or line.startswith("#"):
             if "version" in line:
                 version = line.split("version", 1)[1].strip().split()[0].rstrip(",") or version
             continue
-        cp_hex, symbol, category = line.split("\t")
+        cp_hex, symbol, category = _tsv.fields(lineno, line, 3)
         char = chr(int(cp_hex, 16))
         categories[char] = category
         to_symbol[char] = symbol

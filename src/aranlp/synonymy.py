@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import _tsv
 from .errors import (
     DuplicateSeed,
     EmptyInput,
@@ -94,13 +95,7 @@ def build_graph(source: str | Path) -> SynonymyGraph:
     """Pair TSV: source_surface, source_lang, target_surface, target_lang,
     lexicon_id, symmetric{0|1}.  Symmetric rows expand to both directions."""
     rows = []
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise MalformedRow(lineno, f"expected 6 tab-separated fields, got {len(fields)}")
+    for lineno, fields in _tsv.rows(source, 6):
         src_surface, src_lang, dst_surface, dst_lang, lexicon, symmetric = (
             f.strip() for f in fields
         )

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from . import _tsv
 from .errors import (
     EmptyCandidates,
     MalformedRow,
@@ -72,14 +73,7 @@ def load_inventory(source: str | Path) -> SenseInventory:
     """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text."""
     multiword: dict[str, list[Gloss]] = {}
     singleword: dict[str, list[Gloss]] = {}
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise MalformedRow(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-        kind, key, gloss_id, text = fields
+    for lineno, (kind, key, gloss_id, text) in _tsv.rows(source, 4):
         key = unicodedata.normalize("NFC", key.strip())
         gloss_id = gloss_id.strip()
         if not key or not gloss_id:
@@ -374,37 +368,22 @@ def annotate_corpus(
 
 
 def read_annotated_corpus(source: str | Path) -> list[AnnotatedSentence]:
-    """Annotated corpus file: per block, the sentence line followed by one
-    `start<TAB>end<TAB>kind<TAB>payload` line per span; blank lines
-    separate blocks."""
+    """Annotated corpus file: one block per sentence, the sentence line
+    followed by one `start<TAB>end<TAB>kind<TAB>payload` line per span."""
     sentences: list[AnnotatedSentence] = []
-    tokens: tuple[str, ...] | None = None
-    spans: list[AnnotatedSpan] = []
-    for lineno, raw in enumerate(Path(source).read_text("utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            if tokens is not None:
-                sentences.append(AnnotatedSentence(tokens, tuple(spans)))
-                tokens, spans = None, []
-            continue
-        if tokens is None:
-            tokens = tuple(line.split())
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise MalformedRow(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-        try:
-            start, end = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedRow(lineno, "start and end must be integers") from None
-        try:
-            spans.append(AnnotatedSpan(start, end, fields[2].strip(), fields[3].strip()))
-        except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from None
-    if tokens is not None:
-        sentences.append(AnnotatedSentence(tokens, tuple(spans)))
+    for (_, sentence), *span_lines in _tsv.blocks(source):
+        spans: list[AnnotatedSpan] = []
+        for lineno, line in span_lines:
+            fields = _tsv.fields(lineno, line, 4)
+            try:
+                start, end = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise MalformedRow(lineno, "start and end must be integers") from None
+            try:
+                spans.append(AnnotatedSpan(start, end, fields[2].strip(), fields[3].strip()))
+            except ValueError as exc:
+                raise MalformedRow(lineno, str(exc)) from None
+        sentences.append(AnnotatedSentence(tuple(sentence.split()), tuple(spans)))
     return sentences
 
 
@@ -492,7 +471,15 @@ def wsd_accuracy(
     """
     if category not in CATEGORIES:
         raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
-    totals = corpus_counts(gold, pred)
+    return accuracy_from_counts(corpus_counts(gold, pred), category)
+
+
+def accuracy_from_counts(
+    totals: dict[str, tuple[int, int, int]],
+    category: str = "overall",
+) -> float:
+    """wsd_accuracy's score for a category in CATEGORIES, from
+    corpus_counts totals."""
     if category != "overall":
         gold_n, correct, _ = totals[category]
         return correct / gold_n if gold_n else 1.0

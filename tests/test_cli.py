@@ -5,7 +5,13 @@ import pytest
 
 from aranlp.cli import dispatch
 from aranlp.ner import EntitySpan, format_span_file, span_f1
-from aranlp.wsd import format_annotated_corpus
+from aranlp.wsd import (
+    CATEGORIES,
+    AnnotatedSentence,
+    format_annotated_corpus,
+    read_annotated_corpus,
+    wsd_accuracy,
+)
 
 from _synthetic import build_corpus
 
@@ -64,6 +70,19 @@ class TestDispatch:
         assert code == 1
         assert captured.out == ""
         assert "error" in captured.err
+
+    @pytest.mark.parametrize("argv, stdin, message", [
+        (["split", "--sep", "bogus"], "نص", "unknown separator classes: ['bogus']"),
+        (["match", "فعل", "فعل", "فعل"], "", "match takes exactly two words"),
+        (["jaccard", "فعل"], "", "jaccard takes exactly two word-list arguments"),
+        (["wsd", "--inventory", INV, "--dict", MORPH, "--gazetteer", GAZ,
+          "--verifier", "oracle"], "نص\n", "--verifier oracle requires --gold"),
+        (["eval"], "# no rows\n\n", "no (score, weight) rows given"),
+    ], ids=["split", "match", "jaccard", "oracle", "eval"])
+    def test_errors_outside_a_file_name_no_line(self, argv, stdin, message, monkeypatch, capsys):
+        feed(monkeypatch, stdin)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"aranlp: error: {message}\n"
 
 
 class TestTextCommands:
@@ -179,6 +198,13 @@ class TestNerCommands:
         assert dispatch(["ner", "decode"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t2\tORG", "7\t8\tGPE"]
 
+    def test_decode_reports_an_invalid_matrix_at_its_token_line(self, monkeypatch, capsys):
+        feed(monkeypatch, "# matrix\n\nكتب ذهب\nPERS\tB O\nORG\tB\n\n")
+        assert dispatch(["ner", "decode"]) == 1
+        assert capsys.readouterr().err == (
+            "aranlp: error: line 3: row for 'ORG' has 1 labels for 2 tokens\n"
+        )
+
     def test_eval_modes(self, tmp_path, capsys):
         gold = [[EntitySpan(0, 2, "PERS"), EntitySpan(0, 5, "ORG")]]
         pred = [[EntitySpan(0, 2, "PERS"), EntitySpan(0, 5, "ORG"), EntitySpan(6, 7, "GPE")]]
@@ -264,6 +290,20 @@ class TestWsdCommands:
         assert dispatch(["wsd", "eval", "--gold", str(gold_path), "--pred", str(pred_path)]) == 0
         out = capsys.readouterr().out
         assert "100.00%" in out and "overall" in out
+        # The CLI's scores are wsd_accuracy's, also on a prediction that
+        # misses every other span.
+        pred = [
+            AnnotatedSentence(s.tokens, s.spans[::2]) for s in read_annotated_corpus(pred_path)
+        ]
+        pred_path.write_text(format_annotated_corpus(pred), encoding="utf-8")
+        assert dispatch([
+            "wsd", "eval", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--format", "records",
+        ]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        scores = {r["category"]: r["score"] for r in records}
+        assert scores == {c: wsd_accuracy(corpus.gold, pred, c) for c in CATEGORIES}
+        assert scores["overall"] < 1.0
 
     def test_annotate_paper_style_sentence(self, monkeypatch, capsys):
         feed(monkeypatch, EXAMPLE + "\n")
@@ -308,6 +348,14 @@ class TestRelatednessCommands:
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("جملة\tجملة\n", encoding="utf-8")
         assert dispatch(["relatedness", "eval", "--pairs", str(pairs)]) == 1
+
+    def test_eval_names_the_pair_without_gold_not_a_line(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\n\nجملة\tجملة\n", encoding="utf-8")
+        assert dispatch(["relatedness", "eval", "--pairs", str(pairs)]) == 1
+        assert capsys.readouterr().err == (
+            "aranlp: error: pair 1: relatedness eval requires a gold score on every row\n"
+        )
 
 
 class TestSynCommands:

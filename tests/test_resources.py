@@ -1,10 +1,15 @@
+import argparse
 import tarfile
 import zipfile
 
 import pytest
 
-from aranlp.errors import BadArchive, PathEscape, ResourceMissing
+from aranlp import _tsv, cli, morphology, ner, synonymy, wsd
+from aranlp.errors import BadArchive, MalformedRow, PathEscape, ResourceMissing
+from aranlp.ner import EntitySpan, LabelMatrix
+from aranlp.relatedness import load_pairs
 from aranlp.resources import RESOURCE_PATHS, InstallSummary, ResourceRegistry, install
+from aranlp.wsd import AnnotatedSentence, AnnotatedSpan
 
 
 def make_zip(path, files):
@@ -120,3 +125,105 @@ class TestInstall:
         summary = InstallSummary(added=["a"], replaced=["b"], unchanged=[])
         text = summary.render()
         assert "2 file(s)" in text and "A a" in text and "R b" in text
+
+
+def _from_path(loader):
+    return lambda path, monkeypatch: loader(path)
+
+
+def _from_lines(loader, keepends):
+    return lambda path, monkeypatch: loader(path.read_text("utf-8").splitlines(keepends))
+
+
+def _packaged(loader):
+    def call(path, monkeypatch):
+        monkeypatch.setattr(_tsv, "packaged", lambda name: path.read_text("utf-8").splitlines())
+        return loader()
+    return call
+
+
+# A comment and a blank line come first, so each bad row is at least on
+# physical line 3.
+PREAMBLE = "# header\n\n"
+
+MALFORMED_ROWS = [
+    ("load_dictionary", _from_path(morphology.load_dictionary),
+     "كتب\tكَتَبَ\tverb\t10\n", 3, "expected 5 tab-separated fields, got 4"),
+    ("load_dictionary-lines", _from_lines(morphology.load_dictionary, True),
+     "كتب\tكَتَبَ\tverb\t10\n", 3, "expected 5 tab-separated fields, got 4"),
+    ("load_dictionary-lines-no-newline", _from_lines(morphology.load_dictionary, False),
+     "كتب\tكَتَبَ\tverb\t10\n", 3, "expected 5 tab-separated fields, got 4"),
+    ("load_tagset", _packaged(morphology.load_tagset),
+     "NOUN\tX\n", 3, "expected 1 tab-separated fields, got 2"),
+    ("_tag_map", _packaged(morphology._tag_map.__wrapped__),
+     "NOUN\tnoun\tX\n", 3, "expected 2 tab-separated fields, got 3"),
+    ("load_gazetteer", _from_path(ner.load_gazetteer),
+     "مصر\tGPE\tX\n", 3, "expected 2 tab-separated fields, got 3"),
+    ("default_entity_types", _packaged(ner.default_entity_types),
+     "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
+    ("read_span_file", _from_path(ner.read_span_file),
+     "0\t1\tPERS\n0\t1\n", 4, "expected 3 tab-separated fields, got 2"),
+    ("load_inventory", _from_path(wsd.load_inventory),
+     "SW\tكتب\tg1\n", 3, "expected 4 tab-separated fields, got 3"),
+    ("read_annotated_corpus", _from_path(wsd.read_annotated_corpus),
+     "كتب ذهب\n0\t1\tentity\n", 4, "expected 4 tab-separated fields, got 3"),
+    ("load_pairs", _from_path(load_pairs),
+     "أ\tب\t0.5\tX\n", 3, "expected 2 or 3 tab-separated fields, got 4"),
+    ("build_graph", _from_path(synonymy.build_graph),
+     "ذهب\tar\tgo\ten\tL\n", 3, "expected 6 tab-separated fields, got 5"),
+    ("cli._load_types", _from_path(lambda path: cli._load_types(argparse.Namespace(types=path))),
+     "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
+    ("cli._parse_matrix_blocks", _from_lines(cli._parse_matrix_blocks, False),
+     "كتب ذهب\nPERS B O\n", 4, "expected `TYPE<TAB>label label ...`"),
+    ("cli._cmd_eval", _from_path(lambda path: cli._cmd_eval(argparse.Namespace(file=path))),
+     "50%\n", 3, "expected `score<TAB>weight`"),
+]
+
+
+class TestLineFiles:
+    @pytest.mark.parametrize(
+        "load, rows, line_number, message", [case[1:] for case in MALFORMED_ROWS],
+        ids=[case[0] for case in MALFORMED_ROWS],
+    )
+    def test_malformed_row_after_comment_and_blank_line(
+        self, load, rows, line_number, message, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "file.tsv"
+        path.write_text(PREAMBLE + rows, encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load(path, monkeypatch)
+        assert err.value.line_number == line_number
+        assert str(err.value) == f"line {line_number}: {message}"
+
+    @pytest.mark.parametrize("load, text, expected", [
+        (
+            ner.read_span_file,
+            "# spans\n0\t1\tPERS\n# inside a block\n1\t3\tORG\n\n# between blocks\n\n-\n"
+            "\n2\t3\tLOC",
+            [[EntitySpan(0, 1, "PERS"), EntitySpan(1, 3, "ORG")], [], [EntitySpan(2, 3, "LOC")]],
+        ),
+        (
+            wsd.read_annotated_corpus,
+            "# corpus\nكتب ذهب\n# inside a block\n0\t1\tentity\tPERS\n\n# between blocks\n"
+            "\nولد\n0\t1\tsingleword\tg1",
+            [
+                AnnotatedSentence(("كتب", "ذهب"), (AnnotatedSpan(0, 1, "entity", "PERS"),)),
+                AnnotatedSentence(("ولد",), (AnnotatedSpan(0, 1, "singleword", "g1"),)),
+            ],
+        ),
+        (
+            lambda path: cli._parse_matrix_blocks(path.read_text("utf-8").splitlines()),
+            "# matrix\nكتب ذهب\n# inside a block\nPERS\tB I\n\n# between blocks\n\nولد\n"
+            "ORG\tB",
+            [
+                LabelMatrix(("كتب", "ذهب"), {"PERS": ("B", "I")}),
+                LabelMatrix(("ولد",), {"ORG": ("B",)}),
+            ],
+        ),
+    ], ids=["read_span_file", "read_annotated_corpus", "cli._parse_matrix_blocks"])
+    def test_blocks_skip_comments_and_keep_an_unterminated_last_block(
+        self, load, text, expected, tmp_path
+    ):
+        path = tmp_path / "blocks.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert load(path) == expected
