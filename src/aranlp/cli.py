@@ -233,7 +233,11 @@ def _cmd_morph(args) -> int:
 
 def _load_types(args) -> ner.EntityTypeSet:
     if getattr(args, "types", None):
-        return ner.EntityTypeSet(tuple(name.strip() for _, (name,) in _tsv.rows(args.types, 1)))
+        names = tuple(name.strip() for _, (name,) in _tsv.rows(args.types, 1))
+        try:
+            return ner.EntityTypeSet(names)
+        except ValueError as exc:
+            raise AranlpError(f"{args.types}: {exc}") from None
     return ner.EntityTypeSet.default()
 
 

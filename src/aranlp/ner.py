@@ -20,6 +20,7 @@ from .errors import MalformedRow, TaggerFailure, UnknownEntityType
 
 B, I, O = "B", "I", "O"
 IOB_LABELS = (B, I, O)
+_IOB_LABEL_SET = frozenset(IOB_LABELS)
 
 GAZETTEER_MAX_TOKENS = 5
 
@@ -81,8 +82,8 @@ class LabelMatrix:
                 raise ValueError(
                     f"row for {type_name!r} has {len(row)} labels for {len(self.tokens)} tokens"
                 )
-            bad = set(row) - set(IOB_LABELS)
-            if bad:
+            if not _IOB_LABEL_SET.issuperset(row):
+                bad = set(row) - _IOB_LABEL_SET
                 raise ValueError(f"row for {type_name!r} has invalid labels {sorted(bad)}")
 
     @property
@@ -96,6 +97,8 @@ def decode_iob(row: Sequence[str]) -> list[tuple[int, int]]:
     An I with no open span starts one (standard IOB2 repair), so decoding
     is total.
     """
+    if row.count(O) == len(row):
+        return []
     spans: list[tuple[int, int]] = []
     start: int | None = None
     for i, label in enumerate(row):

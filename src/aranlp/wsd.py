@@ -45,6 +45,10 @@ KINDS = (KIND_ENTITY, KIND_MULTIWORD, KIND_SINGLEWORD)
 MAX_NGRAM = 5
 PROBABILITY_TOLERANCE = 1e-9
 
+# Most tokens an OverlapVerifier's token -> lemma memo holds before it is
+# cleared.
+_LEMMA_MEMO_LIMIT = 65_536
+
 # Alternatives separator in gold sense payloads ("id1|id2" means either is
 # correct).
 ALTERNATIVES_SEP = "|"
@@ -122,14 +126,16 @@ class NgramSpan:
         return any(t in claimed for t in range(self.start, self.end))
 
 
+def _lemma(token: str, dictionary: MorphDictionary) -> str:
+    """The lemma of the token's default solution, else its surface form."""
+    tagged = analyze(token, dictionary)
+    return tagged.solution.lemma if tagged.solution else token
+
+
 def lemmatize_tokens(tokens: Sequence[str], dictionary: MorphDictionary) -> list[str]:
     """One lemma per token via dictionary lookup; out-of-vocabulary tokens
     keep their surface form."""
-    lemmas = []
-    for token in tokens:
-        tagged = analyze(token, dictionary)
-        lemmas.append(tagged.solution.lemma if tagged.solution else token)
-    return lemmas
+    return [_lemma(token, dictionary) for token in tokens]
 
 
 def generate_ngrams(
@@ -218,21 +224,37 @@ class OverlapVerifier:
     positive = eps + (1 - 2*eps) * |context lemmas ∩ gloss lemmas| /
     |gloss lemmas|, so a gloss sharing nothing with the context scores the
     smoothing floor eps and a fully covered gloss scores 1 - eps.
+
+    Each instance memoizes token -> lemma, so a word repeated across
+    glosses and sentences is analyzed once; the memo holds at most
+    _LEMMA_MEMO_LIMIT (65,536) tokens and is cleared when full.  The
+    lemma set of the last context is kept (one entry), because
+    disambiguate scores all glosses of a sentence in a row.
     """
 
     def __init__(self, dictionary: MorphDictionary, eps: float = 0.01):
         self.dictionary = dictionary
         self.eps = eps
-        self._context_cache: dict[str, frozenset[str]] = {}
+        self._lemma_memo: dict[str, str] = {}
+        # (context, its lemma set); the empty context has no lemmas.
+        self._last_context: tuple[str, set[str]] = ("", set())
 
-    def _lemma_set(self, text: str) -> frozenset[str]:
-        return frozenset(lemmatize_tokens(text.split(), self.dictionary))
+    def _lemma_set(self, text: str) -> set[str]:
+        memo = self._lemma_memo
+        lemmas = set()
+        for token in text.split():
+            lemma = memo.get(token)
+            if lemma is None:
+                if len(memo) >= _LEMMA_MEMO_LIMIT:
+                    memo.clear()
+                lemma = memo[token] = _lemma(token, self.dictionary)
+            lemmas.add(lemma)
+        return lemmas
 
     def score(self, context: str, gloss: Gloss) -> float:
-        context_lemmas = self._context_cache.get(context)
-        if context_lemmas is None:
-            context_lemmas = self._lemma_set(context)
-            self._context_cache[context] = context_lemmas
+        if self._last_context[0] != context:
+            self._last_context = (context, self._lemma_set(context))
+        context_lemmas = self._last_context[1]
         gloss_lemmas = self._lemma_set(gloss.text)
         ratio = (
             len(context_lemmas & gloss_lemmas) / len(gloss_lemmas)

@@ -11,7 +11,7 @@ import re
 import unicodedata
 from fractions import Fraction
 
-from aranlp import script
+from aranlp import morphology, script
 from aranlp.synonymy import TermNode, graph_from_pairs
 
 VOWEL_CODEPOINTS = "ًٌٍَُِْ"
@@ -76,6 +76,22 @@ def reference_gazetteer_rows(gazetteer, types, tokens, max_tokens=5) -> dict:
                 pos += 1
         rows[type_name] = tuple(row)
     return rows
+
+
+def reference_overlap_score(context, gloss_text, dictionary, eps) -> float:
+    """Overlap-verifier oracle: no cache of any kind; both texts are
+    analyzed token by token on every call, and a token without a solution
+    stands for itself."""
+    def lemma_set(text):
+        found = set()
+        for token in text.split():
+            solution = morphology.analyze(token, dictionary).solution
+            found.add(token if solution is None else solution.lemma)
+        return found
+
+    context_lemmas, gloss_lemmas = lemma_set(context), lemma_set(gloss_text)
+    covered = len(gloss_lemmas & context_lemmas) / len(gloss_lemmas) if gloss_lemmas else 0.0
+    return eps + (1.0 - 2.0 * eps) * covered
 
 
 def spans_overlap(a, b) -> bool:

@@ -229,6 +229,24 @@ class TestNerCommands:
         assert captured.out == ""
         assert captured.err.startswith("aranlp: error:")
 
+    @pytest.mark.parametrize("command", [
+        ["ner", "tag", "--gazetteer", GAZ],
+        ["wsd", "annotate", "--inventory", INV, "--dict", MORPH, "--gazetteer", GAZ],
+    ], ids=["ner-tag", "wsd-annotate"])
+    @pytest.mark.parametrize("content, message", [
+        ("PERS\nPERS\n", "entity type names must be unique"),
+        ("# only a comment\n\n", "entity type set must be non-empty"),
+    ], ids=["repeated", "empty"])
+    def test_bad_types_file_is_data_error(self, command, content, message, tmp_path,
+                                          monkeypatch, capsys):
+        types_path = tmp_path / "types.txt"
+        types_path.write_text(content, encoding="utf-8")
+        feed(monkeypatch, EXAMPLE + "\n")
+        assert dispatch([*command, "--types", str(types_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"aranlp: error: {types_path}: {message}\n"
+
     def test_eval_counts_duplicate_spans_like_span_f1(self, tmp_path, capsys):
         gold = [[EntitySpan(0, 1, "PERS"), EntitySpan(0, 1, "PERS")]]
         pred = [[EntitySpan(0, 1, "PERS")]]

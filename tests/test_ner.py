@@ -40,6 +40,11 @@ class TestDecodeIob:
         with pytest.raises(ValueError):
             decode_iob(["B", "X"])
 
+    @pytest.mark.parametrize("row", [["O", "X"], ["X"], ("O", "o")])
+    def test_invalid_label_without_a_span(self, row):
+        with pytest.raises(ValueError, match="invalid IOB label"):
+            decode_iob(row)
+
     def test_exhaustive_oracle_up_to_length_six(self):
         for length in range(7):
             for row in itertools.product("BIO", repeat=length):
@@ -50,6 +55,13 @@ class TestDecodeIob:
             spans = decode_iob(row)
             assert spans == sorted(spans)
             assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+class TestLabelMatrix:
+    def test_invalid_label_message(self):
+        with pytest.raises(ValueError) as info:
+            LabelMatrix(("a", "b", "c"), {"PERS": ("O", "O", "O"), "ORG": ("B", "b", "X")})
+        assert str(info.value) == "row for 'ORG' has invalid labels ['X', 'b']"
 
 
 class TestDecodeMatrix:

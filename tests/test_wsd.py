@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from aranlp import wsd
 from aranlp.errors import (
     EmptyCandidates,
     MalformedRow,
     MisalignedCorpus,
     VerifierFailure,
 )
+from aranlp.morphology import SOURCE_EXACT, SOURCE_OOV, SOURCE_STRIPPED, analyze
 from aranlp.ner import GazetteerTagger
 from aranlp.wsd import (
     KIND_ENTITY,
@@ -34,7 +36,13 @@ from aranlp.wsd import (
     wsd_accuracy,
 )
 
-from _oracles import oracle_assignment, spans_overlap
+from _oracles import (
+    LETTERS,
+    oracle_assignment,
+    random_token,
+    reference_overlap_score,
+    spans_overlap,
+)
 from _synthetic import build_corpus
 
 GOLD_IDS = {"mw-tax-2", "sw-qam-6", "sw-khafd-2"}
@@ -192,6 +200,64 @@ class TestVerification:
     def test_pair_invariants(self):
         with pytest.raises(ValueError):
             VerificationPair("س", Gloss("g", "ن"), 0.7, 0.4)
+
+
+class TestOverlapVerifierCaches:
+    def test_randomized_scores_equal_the_uncached_oracle(self, morph_dict):
+        rng = random.Random(2024)
+        words = sorted(morph_dict.entries)
+        # Dictionary lemmas are diacritized: some strip to a dictionary
+        # word, the others are out of vocabulary.
+        lemmas = sorted({s.lemma for group in morph_dict.entries.values() for s in group})
+        # Near misses of dictionary words, one letter short or long.
+        near = [w[:-1] for w in words] + [w + "ي" for w in words]
+        unknown = [random_token(rng) for _ in range(12)]
+        vocabulary = words + lemmas + near + unknown
+        sources = {analyze(token, morph_dict).source for token in vocabulary}
+        assert {SOURCE_EXACT, SOURCE_STRIPPED, SOURCE_OOV} <= sources
+
+        def text(low, high):
+            return " ".join(rng.choice(vocabulary) for _ in range(rng.randint(low, high)))
+
+        repeated = f"{words[0]} {lemmas[0]} {words[0]} {words[0]}"
+        edge_glosses = [Gloss("empty", ""), Gloss("blank", " \t "), Gloss("rep", repeated)]
+        glosses = [Gloss(f"g{i}", text(1, 6)) for i in range(30)]
+        verifiers = [OverlapVerifier(morph_dict), OverlapVerifier(morph_dict, eps=0.125)]
+        scores = set()
+        for _ in range(40):
+            a, b = text(2, 12), text(2, 12)
+            for context in (a, b, a):
+                for gloss in rng.sample(glosses, 6) + edge_glosses:
+                    for verifier in verifiers:
+                        expected = reference_overlap_score(
+                            context, gloss.text, morph_dict, verifier.eps
+                        )
+                        assert verifier.score(context, gloss) == expected, (context, gloss)
+                        scores.add(expected)
+                for verifier in verifiers:
+                    last, last_lemmas = verifier._last_context
+                    assert last == context
+                    assert last_lemmas == set(lemmatize_tokens(context.split(), morph_dict))
+        # The floor, the ceiling and partial overlaps all occurred.
+        assert {0.01, 0.99, 0.125, 0.875} <= scores
+        assert len(scores) > 8
+
+    def test_memo_is_bounded(self, morph_dict):
+        limit = wsd._LEMMA_MEMO_LIMIT
+        assert limit == 65_536
+        fresh = ["".join(p) for p in itertools.islice(itertools.product(LETTERS, repeat=4), limit + 1)]
+        known = sorted(morph_dict.entries)
+        context = " ".join(known[:4] + fresh[:2])
+        verifier = OverlapVerifier(morph_dict)
+        sizes = []
+        for start in range(0, len(fresh), 256):
+            gloss_text = " ".join(fresh[start:start + 256] + known[2:6])
+            expected = reference_overlap_score(context, gloss_text, morph_dict, verifier.eps)
+            assert verifier.score(context, Gloss("g", gloss_text)) == expected
+            sizes.append(len(verifier._lemma_memo))
+        assert max(sizes) <= limit
+        # The memo filled up, was cleared and refilled.
+        assert sizes[-1] < max(sizes)
 
 
 class TestSelectSense:
