@@ -59,8 +59,8 @@ class HashedTrigramProvider:
     """
 
     def __init__(self, dimension: int = 256):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        if not isinstance(dimension, int) or dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         self.dimension = dimension
 
     def _token_vector(self, token: str) -> Vector:
@@ -88,7 +88,7 @@ def mean_pool(vectors: Sequence[Vector]) -> Vector:
         if len(v) != dimension:
             raise DimensionMismatch(f"expected dimension {dimension}, got {len(v)}")
     count = len(vectors)
-    return [sum(v[i] for v in vectors) / count for i in range(dimension)]
+    return [sum(column) / count for column in zip(*vectors)]
 
 
 def cosine(a: Vector, b: Vector) -> float:

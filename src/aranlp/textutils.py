@@ -88,6 +88,18 @@ class MatchVerdict:
     first_conflict: int | None = None
 
 
+def _vowel_conflict(v1, v2) -> int | None:
+    """First position holding two different explicit vowels, else None."""
+    for i, (x, y) in enumerate(zip(v1, v2)):
+        if x is not None and y is not None and x != y:
+            return i
+    return None
+
+
+def _vowels(skeleton) -> tuple[str | None, ...]:
+    return tuple(p.marks.vowel for p in skeleton.positions)
+
+
 def match_words(w1: str, w2: str) -> MatchVerdict:
     """Compare two Arabic words allowing for partial diacritization.
 
@@ -106,14 +118,10 @@ def match_words(w1: str, w2: str) -> MatchVerdict:
                 conflict = i
                 break
         return MatchVerdict(INCOMPATIBLE, conflict)
-    identical = True
-    for i, (p1, p2) in enumerate(zip(s1.positions, s2.positions)):
-        v1, v2 = p1.marks.vowel, p2.marks.vowel
-        if v1 is not None and v2 is not None and v1 != v2:
-            return MatchVerdict(INCOMPATIBLE, i)
-        if p1.marks != p2.marks:
-            identical = False
-    return MatchVerdict(IDENTICAL if identical else COMPATIBLE)
+    conflict = _vowel_conflict(_vowels(s1), _vowels(s2))
+    if conflict is not None:
+        return MatchVerdict(INCOMPATIBLE, conflict)
+    return MatchVerdict(IDENTICAL if s1 == s2 else COMPATIBLE)
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,10 @@ def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:
     are grouped into connected components (union-find over the combined
     input, in input order) and the report counts components.  Two empty
     sets have similarity 1.0.
+
+    Cost: each distinct word is decomposed once, in input order (so a lone
+    invalid word raises too), and words are compared pairwise only within
+    a bucket of equal base-letter skeletons, since others never match.
     """
     if mode not in ("exact", "diacritic_aware"):
         raise ValueError(f"unknown jaccard mode {mode!r}")
@@ -156,12 +168,15 @@ def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:
         return i
 
     if mode == "diacritic_aware":
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                if find(i) == find(j):
-                    continue
-                if match_words(words[i], words[j]).relation != INCOMPATIBLE:
-                    parent[find(j)] = find(i)
+        buckets: dict[tuple[str, ...], list[tuple[int, tuple]]] = {}
+        for idx, word in enumerate(words):
+            skeleton = decompose(word)
+            buckets.setdefault(skeleton.bases(), []).append((idx, _vowels(skeleton)))
+        for bucket in buckets.values():
+            for a, (i, vowels_i) in enumerate(bucket):
+                for j, vowels_j in bucket[a + 1:]:
+                    if find(i) != find(j) and _vowel_conflict(vowels_i, vowels_j) is None:
+                        parent[find(j)] = find(i)
 
     components: dict[int, tuple[bool, bool]] = {}
     for idx in range(len(words)):
@@ -178,23 +193,18 @@ def _tf_vector(sentence: str) -> Counter:
     return Counter(ar_strip(sentence, diacritics=True).split())
 
 
-def _cosine_counts(a: Counter, na: float, b: Counter, nb: float) -> float:
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    dot = sum(count * large.get(token, 0) for token, count in small.items())
-    return dot / (na * nb)
-
-
 def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     """Drop a sentence when its term-frequency cosine similarity with any
     previously kept sentence reaches the threshold; first occurrence wins.
 
     Vectors are token counts after diacritic stripping.  Thresholds above
     1.0 are legal and keep everything; negative or non-finite thresholds
-    are rejected.
+    are rejected.  Two empty vectors have cosine 1.0, an empty and a
+    non-empty one 0.0.
+
+    Cost: an inverted index from token to kept sentences accumulates the
+    dot products term at a time, so a sentence does work only on the
+    tokens it shares with kept ones; the others have cosine 0.
     """
     try:
         threshold = float(threshold)
@@ -203,15 +213,28 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     if math.isnan(threshold) or math.isinf(threshold) or threshold < 0:
         raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
     kept: list[str] = []
-    kept_vectors: list[tuple[Counter, float]] = []
+    kept_norms: list[float] = []
+    postings: dict[str, list[tuple[int, int]]] = {}
+    kept_empty = False
     for sentence in sentences:
         vector = _tf_vector(sentence)
-        norm = math.sqrt(sum(c * c for c in vector.values()))
-        duplicate = any(
-            _cosine_counts(vector, norm, other, other_norm) >= threshold
-            for other, other_norm in kept_vectors
-        )
-        if not duplicate:
+        if kept and threshold == 0:  # every cosine is at least 0
+            continue
+        if not vector:
+            if kept_empty and threshold <= 1.0:
+                continue
+            kept_empty = True
             kept.append(sentence)
-            kept_vectors.append((vector, norm))
+            continue
+        norm = math.sqrt(sum(c * c for c in vector.values()))
+        dots: dict[int, int] = {}
+        for token, count in vector.items():
+            for k, kept_count in postings.get(token, ()):
+                dots[k] = dots.get(k, 0) + count * kept_count
+        if any(dot / (norm * kept_norms[k]) >= threshold for k, dot in dots.items()):
+            continue
+        for token, count in vector.items():
+            postings.setdefault(token, []).append((len(kept_norms), count))
+        kept_norms.append(norm)
+        kept.append(sentence)
     return kept

@@ -9,9 +9,11 @@ import math
 import random
 import re
 import unicodedata
+from collections import Counter
 from fractions import Fraction
 
 from aranlp import morphology, script
+from aranlp.textutils import INCOMPATIBLE, JaccardReport, match_words
 from aranlp.synonymy import TermNode, graph_from_pairs
 
 VOWEL_CODEPOINTS = "ًٌٍَُِْ"
@@ -191,8 +193,6 @@ def oracle_spearman(gold, pred) -> float:
 def oracle_tf_cosine(s1: str, s2: str) -> float:
     """Dedup oracle: independent dot-product recomputation over raw token
     counts after diacritic stripping."""
-    from collections import Counter
-
     c1 = Counter(script.ar_strip(s1, diacritics=True).split())
     c2 = Counter(script.ar_strip(s2, diacritics=True).split())
     if not c1 and not c2:
@@ -203,3 +203,84 @@ def oracle_tf_cosine(s1: str, s2: str) -> float:
     return dot / math.sqrt(
         sum(v * v for v in c1.values()) * sum(v * v for v in c2.values())
     )
+
+
+def reference_jaccard(set1, set2, mode="diacritic_aware") -> JaccardReport:
+    """Jaccard equivalence oracle: the all-pairs union-find that calls
+    match_words on every pair of distinct words not yet connected."""
+    words = []
+    seen = {}
+    origin1, origin2 = set(), set()
+    for source, origin in ((set1, origin1), (set2, origin2)):
+        for w in source:
+            idx = seen.get(w)
+            if idx is None:
+                idx = len(words)
+                seen[w] = idx
+                words.append(w)
+            origin.add(idx)
+
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if mode == "diacritic_aware":
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                if find(i) == find(j):
+                    continue
+                if match_words(words[i], words[j]).relation != INCOMPATIBLE:
+                    parent[find(j)] = find(i)
+
+    components = {}
+    for idx in range(len(words)):
+        root = find(idx)
+        in1, in2 = components.get(root, (False, False))
+        components[root] = (in1 or idx in origin1, in2 or idx in origin2)
+    union_size = len(components)
+    intersection_size = sum(1 for in1, in2 in components.values() if in1 and in2)
+    similarity = intersection_size / union_size if union_size else 1.0
+    return JaccardReport(union_size, intersection_size, similarity)
+
+
+def reference_cosine_counts(a, na, b, nb) -> float:
+    """The dedup cosine over two token Counters with precomputed norms;
+    the integer dot product is divided by the product of the norms."""
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    dot = sum(count * large.get(token, 0) for token, count in small.items())
+    return dot / (na * nb)
+
+
+def reference_remove_duplicates(sentences, threshold=0.8) -> list:
+    """Dedup equivalence oracle: every sentence is compared with every kept
+    sentence by reference_cosine_counts.  Unlike oracle_tf_cosine it divides
+    by the product of the two norms, so its verdicts are bit-identical to
+    the library's.  Threshold validation is not repeated here."""
+    kept = []
+    kept_vectors = []
+    for sentence in sentences:
+        vector = Counter(script.ar_strip(sentence, diacritics=True).split())
+        norm = math.sqrt(sum(c * c for c in vector.values()))
+        duplicate = any(
+            reference_cosine_counts(vector, norm, other, other_norm) >= threshold
+            for other, other_norm in kept_vectors
+        )
+        if not duplicate:
+            kept.append(sentence)
+            kept_vectors.append((vector, norm))
+    return kept
+
+
+def reference_mean_pool(vectors) -> list:
+    """Mean-pooling equivalence oracle: one generator sum per dimension
+    index, in vector order."""
+    count = len(vectors)
+    return [sum(v[i] for v in vectors) / count for i in range(len(vectors[0]))]

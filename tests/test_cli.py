@@ -138,6 +138,12 @@ class TestTextCommands:
         assert out["union"] == "2"
         assert out["intersection"] == "1"
 
+    def test_jaccard_lone_non_arabic_word_is_data_error(self, capsys):
+        assert dispatch(["jaccard", "abc", "abc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "aranlp: error: unsupported codepoint 'a' (U+0061)\n"
+
     def test_dedup_reads_lines_writes_kept(self, monkeypatch, capsys):
         feed(monkeypatch, "A B\nA B\nC\n")
         assert dispatch(["dedup", "--threshold", "0.99"]) == 0

@@ -24,6 +24,8 @@ from aranlp.relatedness import (
     to_unit_interval,
 )
 
+from _oracles import oracle_spearman, reference_mean_pool
+
 
 class TestMeanPool:
     def test_singleton(self):
@@ -47,6 +49,24 @@ class TestMeanPool:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mean_pool([[1.0], [1.0, 2.0]])
+
+    def test_equals_per_index_reference(self):
+        rng = random.Random(4242)
+        provider = HashedTrigramProvider(dimension=32)
+        order_sensitive = 0
+        for _ in range(300):
+            count, dimension = rng.randint(1, 12), rng.randint(0, 24)
+            vectors = [
+                [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(dimension)]
+                for _ in range(count)
+            ]
+            assert mean_pool(vectors) == reference_mean_pool(vectors)
+            order_sensitive += any(sum(c) != sum(reversed(c)) for c in zip(*vectors))
+        for sentence in ("كتاب", "كتاب جديد على الطاولة", "نص نص نص"):
+            vectors = provider.embed(sentence)
+            assert mean_pool(vectors) == reference_mean_pool(vectors)
+        # the inputs are ones where a different summation order would show
+        assert order_sensitive > 0
 
 
 class TestCosine:
@@ -102,6 +122,11 @@ class TestProvider:
     def test_empty_sentence(self):
         with pytest.raises(EmptySentence):
             HashedTrigramProvider().embed("   ")
+
+    def test_invalid_dimension_rejected_at_construction(self):
+        for bad in (0, -3, 2.5, 256.0, "8", None):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                HashedTrigramProvider(bad)
 
     def test_known_fingerprint_is_stable(self):
         # "^a$" is a single trigram: exactly one signed unit lands in the
@@ -168,9 +193,6 @@ class TestRelatedness:
         bad.write_text("واحد\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_pairs(bad)
-
-
-from _oracles import oracle_spearman
 
 
 class TestSpearman:

@@ -1,8 +1,14 @@
+import itertools
+import math
 import random
+import unicodedata
+from collections import Counter
 
 import pytest
 
+from aranlp import textutils
 from aranlp.errors import EmptySeparatorSet, InvalidThreshold, NonArabicLetter
+from aranlp.script import SHADDAH, TATWEEL, ar_strip, decompose
 from aranlp.textutils import (
     COMPATIBLE,
     IDENTICAL,
@@ -14,7 +20,58 @@ from aranlp.textutils import (
     split_sentences,
 )
 
-from _oracles import oracle_tf_cosine, random_token
+from _oracles import (
+    LETTERS,
+    VOWEL_CODEPOINTS,
+    oracle_tf_cosine,
+    random_token,
+    reference_cosine_counts,
+    reference_jaccard,
+    reference_remove_duplicates,
+)
+
+INVALID_WORDS = ("abc", "\u064eب", "ب\u064e\u064f", "بب" + SHADDAH + SHADDAH)
+
+
+def skeleton_variant(rng: random.Random, skeleton: str) -> str:
+    """A raw spelling of the skeleton: each letter gets an optional vowel
+    and shaddah, in either codepoint order, and an optional tatweel."""
+    chars = []
+    for letter in skeleton:
+        marks = []
+        if rng.random() < 0.5:
+            marks.append(rng.choice(VOWEL_CODEPOINTS[:4]))
+        if rng.random() < 0.25:
+            marks.append(SHADDAH)
+        rng.shuffle(marks)
+        chars.append(letter + "".join(marks))
+        if rng.random() < 0.1:
+            chars.append(TATWEEL)
+    return "".join(chars)
+
+
+def random_jaccard_sets(rng: random.Random, invalid_rate: float):
+    """Two word lists over three short skeletons, so words collide in
+    buckets, with an occasional invalid word."""
+    skeletons = ["".join(rng.choices(LETTERS[:4], k=rng.randint(1, 2))) for _ in range(3)]
+
+    def draw():
+        if rng.random() < invalid_rate:
+            return rng.choice(INVALID_WORDS)
+        return skeleton_variant(rng, rng.choice(skeletons))
+
+    set1 = [draw() for _ in range(rng.randint(0, 6))]
+    set2 = [draw() for _ in range(rng.randint(0, 6))]
+    if set1 and rng.random() < 0.3:
+        set2.append(rng.choice(set1))
+    return set1, set2
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestSplitSentences:
@@ -140,6 +197,84 @@ class TestJaccard:
         with pytest.raises(ValueError):
             jaccard([], [], "fuzzy")
 
+    def test_lone_invalid_word_raises(self):
+        for set1, set2 in ((["abc"], ["abc"]), (["abc"], []), ([], ["abc"])):
+            with pytest.raises(NonArabicLetter):
+                jaccard(set1, set2)
+        with pytest.raises(NonArabicLetter):
+            jaccard(["abc"], ["abd"])
+        assert jaccard(["abc"], ["abc"], "exact").similarity == 1.0
+
+    def test_error_names_first_invalid_word_in_input_order(self):
+        with pytest.raises(NonArabicLetter, match="'q'"):
+            jaccard(["فعل", "q"], ["z", "فعل"])
+        with pytest.raises(NonArabicLetter, match="'z'"):
+            jaccard(["فعل"], ["z", "q"])
+
+    def test_equals_all_pairs_reference(self):
+        rng = random.Random(20261018)
+        covered = dict.fromkeys((
+            "non-transitive chain", "shaddah only", "tatweel", "nfc-equal raw strings",
+            "shared word", "empty set", "both empty", "invalid word", "lone invalid word",
+        ), 0)
+        for round_ in range(600):
+            set1, set2 = random_jaccard_sets(rng, invalid_rate=0.03)
+            if round_ % 50 == 0:
+                lone = rng.choice(INVALID_WORDS)
+                set1, set2 = [lone], rng.choice(([lone], []))
+            words = list(dict.fromkeys(set1 + set2))
+            actual = outcome(jaccard, set1, set2)
+            if len(words) == 1 and words[0] in INVALID_WORDS:
+                # the reference never decomposes a lone word
+                assert actual == outcome(decompose, words[0])
+                covered["lone invalid word"] += 1
+                continue
+            expected = outcome(reference_jaccard, set1, set2)
+            assert actual == expected, (set1, set2)
+            if isinstance(expected, tuple):
+                covered["invalid word"] += 1
+                continue
+            assert outcome(jaccard, set1, set2, "exact") == reference_jaccard(set1, set2, "exact")
+            compatible = {
+                (a, b) for a, b in itertools.permutations(words, 2)
+                if match_words(a, b).relation != INCOMPATIBLE
+            }
+            covered["non-transitive chain"] += any(
+                (a, b) in compatible and (b, c) in compatible and (a, c) not in compatible
+                for a, b, c in itertools.permutations(words, 3)
+            )
+            covered["shaddah only"] += any(
+                p.marks.shaddah and p.marks.vowel is None
+                for w in words for p in decompose(w).positions
+            )
+            covered["tatweel"] += any(TATWEEL in w for w in words)
+            covered["nfc-equal raw strings"] += len(words) > len(
+                {unicodedata.normalize("NFC", w) for w in words})
+            covered["shared word"] += bool(set(set1) & set(set2))
+            covered["empty set"] += not set1 or not set2
+            covered["both empty"] += not set1 and not set2
+        assert all(covered.values()), covered
+
+    def test_decomposes_each_distinct_word_once(self, monkeypatch):
+        calls = []
+        original = textutils.decompose
+
+        def counting_decompose(word):
+            calls.append(word)
+            return original(word)
+
+        def forbidden_match_words(w1, w2):
+            raise AssertionError("jaccard must not call match_words")
+
+        monkeypatch.setattr(textutils, "decompose", counting_decompose)
+        monkeypatch.setattr(textutils, "match_words", forbidden_match_words)
+        rng = random.Random(31)
+        set1 = [random_token(rng, 3) for _ in range(40)]
+        set2 = set1[:10] + [random_token(rng, 3) for _ in range(40)] + set1[:5]
+        distinct = list(dict.fromkeys(set1 + set2))
+        jaccard(set1, set2)
+        assert calls == distinct
+
 
 class TestRemoveDuplicates:
     def test_exact_duplicate_dropped(self):
@@ -187,3 +322,67 @@ class TestRemoveDuplicates:
         ]
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(sentences)
+
+    def test_empty_vectors(self):
+        assert remove_duplicates(["", "A", " ", "\u064e"], 0.5) == ["", "A"]
+        assert remove_duplicates(["A", "", "B"], 0.0) == ["A"]
+        assert remove_duplicates(["", "A", ""], 1.0) == ["", "A"]
+        assert remove_duplicates(["", "A", ""], 1.01) == ["", "A", ""]
+
+    def test_equals_all_kept_reference(self):
+        rng = random.Random(5150)
+        vocabulary = sorted({ar_strip(random_token(rng, 5), diacritics=True) for _ in range(400)})
+
+        def diacritize(token):
+            return "".join(
+                ch + (rng.choice(VOWEL_CODEPOINTS) if rng.random() < 0.5 else "") for ch in token
+            )
+
+        thresholds = [0.0, 0.5, 0.75, 0.8, 10 / 12, 11 / 12, 1.0, 1.01]
+        covered = dict.fromkeys(
+            ("replaced 1", "replaced 2", "replaced 3", "tf > 1", "empty", "diacritic only"), 0)
+        for _ in range(60):
+            sentences = []
+            planted = []
+            for _ in range(rng.randint(5, 30)):
+                kind = rng.choice(("base", "base", "near", "repeat", "empty", "marks", "copy"))
+                if kind == "base" or not sentences:
+                    sentences.append(" ".join(rng.sample(vocabulary, 12)))
+                elif kind == "near":
+                    source = rng.choice(sentences).split()
+                    tokens = [ar_strip(t, diacritics=True) for t in source]
+                    if len(tokens) != 12 or len(set(tokens)) != 12:
+                        continue
+                    replaced = rng.randint(1, 3)
+                    fresh = [t for t in rng.sample(vocabulary, 20) if t not in tokens][:replaced]
+                    if len(fresh) < replaced:
+                        continue
+                    tokens[:replaced] = fresh
+                    rng.shuffle(tokens)
+                    sentences.append(" ".join(diacritize(t) for t in tokens))
+                    planted.append((" ".join(source), sentences[-1]))
+                    covered[f"replaced {replaced}"] += 1
+                elif kind == "repeat":
+                    tokens = rng.choices(vocabulary[:30], k=rng.randint(2, 8))
+                    sentences.append(" ".join(tokens))
+                    covered["tf > 1"] += len(set(tokens)) < len(tokens)
+                elif kind == "empty":
+                    sentences.append(rng.choice(("", "   ")))
+                    covered["empty"] += 1
+                elif kind == "marks":
+                    sentences.append(" ".join(rng.choices(VOWEL_CODEPOINTS, k=rng.randint(1, 3))))
+                    covered["diacritic only"] += 1
+                else:
+                    sentences.append(" ".join(diacritize(t) for t in rng.choice(sentences).split()))
+            block_thresholds = thresholds + [rng.uniform(0.0, 1.1)]
+            for first, second in planted[:2]:
+                # a threshold exactly at a planted cosine sits on the >= boundary
+                a = Counter(ar_strip(first, diacritics=True).split())
+                b = Counter(ar_strip(second, diacritics=True).split())
+                block_thresholds.append(reference_cosine_counts(
+                    b, math.sqrt(sum(c * c for c in b.values())),
+                    a, math.sqrt(sum(c * c for c in a.values()))))
+            for threshold in block_thresholds:
+                assert remove_duplicates(sentences, threshold) == reference_remove_duplicates(
+                    sentences, threshold), (sentences, threshold)
+        assert all(covered.values()), covered
