@@ -42,7 +42,6 @@ from .relatedness import (
 from .script import (
     DiacriticSet,
     SkeletonWord,
-    StripOptions,
     ar_strip,
     decompose,
     from_buckwalter,
@@ -91,7 +90,6 @@ __all__ = [
     "SentencePair",
     "SkeletonWord",
     "SplitConfig",
-    "StripOptions",
     "SynonymyGraph",
     "TaggedToken",
     "TermNode",

@@ -47,8 +47,15 @@ def _add_input_options(parser, with_format=True):
         )
 
 
-def _records(objects) -> str:
-    return "\n".join(json.dumps(o, ensure_ascii=False) for o in objects)
+def _records(objects):
+    return (json.dumps(o, ensure_ascii=False) for o in objects)
+
+
+def _print_joined(items, sep: str = "\n") -> None:
+    """Print the items joined by sep; print nothing at all for no items."""
+    items = list(items)
+    if items:
+        print(sep.join(items))
 
 
 def _registry() -> resources.ResourceRegistry:
@@ -72,22 +79,25 @@ def _cmd_translit(args) -> int:
                 f"advisory: unmapped U+{ord(ch):04X} at column {index}",
                 file=sys.stderr,
             )
-    print("\n".join(out_lines))
+    _print_joined(out_lines)
     if advisories:
         print(f"advisory: {advisories} unmapped codepoint(s) passed through", file=sys.stderr)
     return 0
 
 
 def _cmd_strip(args) -> int:
-    options = script.StripOptions(
-        diacritics=args.diacritics,
-        shaddah=args.shaddah,
-        digits=args.digits,
-        unify_alif=args.unify_alif,
-        special_chars=args.special_chars,
-        tatweel=args.tatweel,
+    _print_joined(
+        script.ar_strip(
+            line,
+            diacritics=args.diacritics,
+            shaddah=args.shaddah,
+            digits=args.digits,
+            unify_alif=args.unify_alif,
+            special_chars=args.special_chars,
+            tatweel=args.tatweel,
+        )
+        for line in _read_lines(args)
     )
-    print("\n".join(script.ar_strip(line, options) for line in _read_lines(args)))
     return 0
 
 
@@ -101,10 +111,25 @@ def _cmd_split(args) -> int:
         )
     except ValueError as exc:
         raise AranlpError(str(exc)) from None
-    sentences = textutils.split_sentences(_read_text(args), config)
-    if sentences:
-        print("\n".join(sentences))
+    _print_joined(textutils.split_sentences(_read_text(args), config))
     return 0
+
+
+def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
+    """The two positional arguments, or else one pair per non-blank input
+    line, split at sep."""
+    if arguments:
+        if len(arguments) != 2:
+            raise AranlpError(arity_error)
+        yield arguments
+        return
+    for lineno, line in enumerate(_read_lines(args), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(sep)
+        if len(parts) != 2:
+            raise MalformedRow(lineno, row_error)
+        yield parts
 
 
 def _match_line(w1: str, w2: str, fmt: str) -> str:
@@ -121,20 +146,9 @@ def _match_line(w1: str, w2: str, fmt: str) -> str:
 
 
 def _cmd_match(args) -> int:
-    if args.words:
-        if len(args.words) != 2:
-            raise AranlpError("match takes exactly two words")
-        print(_match_line(args.words[0], args.words[1], args.format))
-        return 0
-    out = []
-    for lineno, line in enumerate(_read_lines(args), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedRow(lineno, "expected two whitespace-separated words")
-        out.append(_match_line(parts[0], parts[1], args.format))
-    print("\n".join(out))
+    pairs = _pairs(args, args.words, "match takes exactly two words",
+                   None, "expected two whitespace-separated words")
+    _print_joined(_match_line(w1, w2, args.format) for w1, w2 in pairs)
     return 0
 
 
@@ -152,29 +166,17 @@ def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
 
 
 def _cmd_jaccard(args) -> int:
-    if args.sets:
-        if len(args.sets) != 2:
-            raise AranlpError("jaccard takes exactly two word-list arguments")
-        report = textutils.jaccard(args.sets[0].split(), args.sets[1].split(), args.mode)
-        print(_jaccard_output(report, args.format))
-        return 0
-    out = []
-    for lineno, line in enumerate(_read_lines(args), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedRow(lineno, "expected two tab-separated word lists")
-        report = textutils.jaccard(parts[0].split(), parts[1].split(), args.mode)
-        out.append(_jaccard_output(report, args.format))
-    print("\n".join(out))
+    pairs = _pairs(args, args.sets, "jaccard takes exactly two word-list arguments",
+                   "\t", "expected two tab-separated word lists")
+    _print_joined(
+        _jaccard_output(textutils.jaccard(s1.split(), s2.split(), args.mode), args.format)
+        for s1, s2 in pairs
+    )
     return 0
 
 
 def _cmd_dedup(args) -> int:
-    kept = textutils.remove_duplicates(_read_lines(args), args.threshold)
-    if kept:
-        print("\n".join(kept))
+    _print_joined(textutils.remove_duplicates(_read_lines(args), args.threshold))
     return 0
 
 
@@ -225,7 +227,7 @@ def _cmd_morph(args) -> int:
                 )
             else:
                 out.append(f"{token}\t{tagged.value}\t{tagged.source}")
-    print("\n".join(out))
+    _print_joined(out)
     return 0
 
 
@@ -249,38 +251,34 @@ def _load_gazetteer_tagger(args) -> ner.GazetteerTagger:
     return ner.GazetteerTagger(gazetteer, _load_types(args))
 
 
-def _matrix_lines(matrix: ner.LabelMatrix) -> list[str]:
-    lines = [" ".join(matrix.tokens)]
-    lines.extend(
-        f"{type_name}\t{' '.join(row)}" for type_name, row in matrix.labels.items()
-    )
-    return lines
-
-
 def _span_lines(spans) -> list[str]:
     if not spans:
         return ["-"]
     return [f"{s.start}\t{s.end}\t{s.type}" for s in spans]
 
 
+def _ner_block(matrix: ner.LabelMatrix, args) -> str:
+    """One sentence of `ner tag` or `ner decode` output: a JSON record, the
+    label matrix, or the decoded span lines."""
+    if args.format == "records":
+        spans = ner.decode_matrix(matrix)
+        return json.dumps(
+            {"tokens": list(matrix.tokens),
+             "spans": [{"start": s.start, "end": s.end, "type": s.type} for s in spans]},
+            ensure_ascii=False,
+        )
+    if getattr(args, "output", "spans") == "matrix":
+        rows = (f"{type_name}\t{' '.join(row)}" for type_name, row in matrix.labels.items())
+        return "\n".join([" ".join(matrix.tokens), *rows])
+    return "\n".join(_span_lines(ner.decode_matrix(matrix)))
+
+
 def _cmd_ner_tag(args) -> int:
     tagger = _load_gazetteer_tagger(args)
-    blocks = []
-    for line in _read_lines(args):
-        tokens = line.split()
-        matrix = tagger.classify(tokens)
-        if args.format == "records":
-            spans = ner.decode_matrix(matrix)
-            blocks.append(json.dumps(
-                {"tokens": tokens,
-                 "spans": [{"start": s.start, "end": s.end, "type": s.type} for s in spans]},
-                ensure_ascii=False,
-            ))
-        elif args.output == "matrix":
-            blocks.append("\n".join(_matrix_lines(matrix)))
-        else:
-            blocks.append("\n".join(_span_lines(ner.decode_matrix(matrix))))
-    print("\n\n".join(blocks))
+    _print_joined(
+        (_ner_block(tagger.classify(line.split()), args) for line in _read_lines(args)),
+        "\n\n",
+    )
     return 0
 
 
@@ -301,18 +299,8 @@ def _parse_matrix_blocks(lines) -> list[ner.LabelMatrix]:
 
 
 def _cmd_ner_decode(args) -> int:
-    blocks = []
-    for matrix in _parse_matrix_blocks(_read_lines(args)):
-        spans = ner.decode_matrix(matrix)
-        if args.format == "records":
-            blocks.append(json.dumps(
-                {"tokens": list(matrix.tokens),
-                 "spans": [{"start": s.start, "end": s.end, "type": s.type} for s in spans]},
-                ensure_ascii=False,
-            ))
-        else:
-            blocks.append("\n".join(_span_lines(spans)))
-    print("\n\n".join(blocks))
+    matrices = _parse_matrix_blocks(_read_lines(args))
+    _print_joined((_ner_block(matrix, args) for matrix in matrices), "\n\n")
     return 0
 
 
@@ -386,10 +374,10 @@ def _cmd_wsd_annotate(args) -> int:
     tagger = _load_gazetteer_tagger(args)
     verifier = _build_verifier(args, dictionary)
     annotated = wsd.annotate_corpus(
-        [line for line in _read_lines(args)], inventory, tagger, verifier, dictionary
+        _read_lines(args), inventory, tagger, verifier, dictionary
     )
     if args.format == "records":
-        print(_records(
+        _print_joined(_records(
             {
                 "tokens": list(sentence.tokens),
                 "spans": [vars(s) for s in sentence.spans],
@@ -436,7 +424,7 @@ def _cmd_relatedness_score(args) -> int:
             ))
         else:
             out.append(f"{score:.4f}")
-    print("\n".join(out))
+    _print_joined(out)
     return 0
 
 
@@ -465,13 +453,13 @@ def _cmd_syn(args) -> int:
     for warning in caught:
         print(f"advisory: {warning.message}", file=sys.stderr)
     if args.format == "records":
-        print(_records(
+        _print_joined(_records(
             {"surface": r.term.surface, "language": r.term.language,
              "score": float(r.score)}
             for r in results
         ))
     else:
-        print("\n".join(f"{r.term.surface}\t{r.percent}" for r in results))
+        _print_joined(f"{r.term.surface}\t{r.percent}" for r in results)
     return 0
 
 

@@ -13,16 +13,18 @@ Conventions
   transliteration functions are per-codepoint total functions and never
   re-normalize, so that the identity and round-trip laws hold literally.
 * Tatweel is purely typographic: ``decompose`` drops it, and
-  ``StripOptions.tatweel`` removes it.
-* ``StripOptions.special_chars`` covers Unicode punctuation and symbol
-  categories (``P*``/``S*``); plain letters, digits, and combining marks
-  are never touched by that flag.
+  ``ar_strip(..., tatweel=True)`` removes it.
+* ``ar_strip(..., special_chars=True)`` covers Unicode punctuation and
+  symbol categories (``P*``/``S*``); plain letters, digits, and combining
+  marks are never touched by that flag.  It is the only per-character
+  rule: the other five flags select one cached translation table.
 * "alif unification" maps the variants {0623, 0625, 0622, 0671} to bare
   alif 0627; the variants are never deleted outright.
 """
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -186,24 +188,26 @@ def decompose(text: str) -> SkeletonWord:
     )
 
 
-@dataclass(frozen=True)
-class StripOptions:
-    """Which character categories ar_strip removes or unifies.
-
-    All-false options are the identity transformation.
-    """
-
-    diacritics: bool = False
-    shaddah: bool = False
-    digits: bool = False
-    unify_alif: bool = False
-    special_chars: bool = False
-    tatweel: bool = False
+@functools.cache
+def _strip_table(
+    diacritics: bool, shaddah: bool, digits: bool, unify_alif: bool, tatweel: bool
+) -> dict[int, str | None]:
+    """The ``str.translate`` table for one combination of the five table
+    flags; callers pass bools, so the cache holds at most 32 tables."""
+    removed = {"vowel": diacritics, "mark": diacritics, "shaddah": shaddah,
+               "tatweel": tatweel}
+    table: dict[int, str | None] = {
+        ord(ch): None for ch, category in _CATEGORY.items() if removed.get(category)
+    }
+    if digits:
+        table.update(dict.fromkeys(map(ord, DIGITS)))
+    if unify_alif:
+        table.update(dict.fromkeys(map(ord, ALIF_VARIANTS), ALIF))
+    return table
 
 
 def ar_strip(
     text: str,
-    options: StripOptions | None = None,
     *,
     diacritics: bool = False,
     shaddah: bool = False,
@@ -214,29 +218,20 @@ def ar_strip(
 ) -> str:
     """Remove/unify only the flagged categories; order is otherwise preserved.
 
-    Total on any string: unknown codepoints pass through untouched.
+    ``diacritics`` removes vowels, tanwin, sukun and other combining marks
+    of the script table; ``shaddah`` and ``tatweel`` remove those
+    characters; ``digits`` removes ASCII, Arabic-Indic and extended
+    Arabic-Indic digits; ``unify_alif`` maps the alif variants to bare
+    alif; ``special_chars`` removes Unicode punctuation and symbols.
+    All-false flags are the identity.  Total on any string: unknown
+    codepoints pass through untouched.
     """
-    if options is None:
-        options = StripOptions(diacritics, shaddah, digits, unify_alif,
-                               special_chars, tatweel)
-    out: list[str] = []
-    for ch in text:
-        category = _CATEGORY.get(ch)
-        if options.diacritics and category in ("vowel", "mark"):
-            continue
-        if options.shaddah and category == "shaddah":
-            continue
-        if options.tatweel and category == "tatweel":
-            continue
-        if options.digits and ch in DIGITS:
-            continue
-        if options.special_chars and unicodedata.category(ch)[0] in ("P", "S"):
-            continue
-        if options.unify_alif and ch in ALIF_VARIANTS:
-            out.append(ALIF)
-            continue
-        out.append(ch)
-    return "".join(out)
+    text = text.translate(_strip_table(
+        bool(diacritics), bool(shaddah), bool(digits), bool(unify_alif), bool(tatweel)
+    ))
+    if special_chars:
+        text = "".join(ch for ch in text if unicodedata.category(ch)[0] not in ("P", "S"))
+    return text
 
 
 @dataclass(frozen=True)

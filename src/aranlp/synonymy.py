@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,7 +159,7 @@ def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set
 def _validate_terms(terms: Sequence[str], minimum: int, what: str) -> None:
     if len(terms) < minimum:
         raise EmptyInput(f"{what} requires at least {minimum} term(s)")
-    duplicates = {t for t in terms if list(terms).count(t) > 1}
+    duplicates = {t for t, n in Counter(terms).items() if n > 1}
     if duplicates:
         raise DuplicateSeed(f"duplicated term(s): {sorted(duplicates)}")
 

@@ -284,3 +284,27 @@ def reference_mean_pool(vectors) -> list:
     index, in vector order."""
     count = len(vectors)
     return [sum(v[i] for v in vectors) / count for i in range(len(vectors[0]))]
+
+
+def reference_ar_strip(text, *, diacritics=False, shaddah=False, digits=False,
+                       unify_alif=False, special_chars=False, tatweel=False) -> str:
+    """Stripping equivalence oracle: the per-character loop that tests the
+    six flags in turn, each deletion before alif unification."""
+    out = []
+    for ch in text:
+        category = script._CATEGORY.get(ch)
+        if diacritics and category in ("vowel", "mark"):
+            continue
+        if shaddah and category == "shaddah":
+            continue
+        if tatweel and category == "tatweel":
+            continue
+        if digits and ch in script.DIGITS:
+            continue
+        if special_chars and unicodedata.category(ch)[0] in ("P", "S"):
+            continue
+        if unify_alif and ch in script.ALIF_VARIANTS:
+            out.append(script.ALIF)
+            continue
+        out.append(ch)
+    return "".join(out)

@@ -84,6 +84,31 @@ class TestDispatch:
         assert dispatch(argv) == 1
         assert capsys.readouterr().err == f"aranlp: error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["translit", "--to", "bw"],
+        ["strip", "--diacritics"],
+        ["split"],
+        ["match"],
+        ["jaccard"],
+        ["dedup"],
+        ["morph", "--dict", MORPH],
+        ["ner", "tag", "--gazetteer", GAZ],
+        ["ner", "decode"],
+        ["wsd", "annotate", "--format", "records", "--inventory", INV, "--dict", MORPH,
+         "--gazetteer", GAZ],
+        ["relatedness", "score", "--pairs", "EMPTY_FILE"],
+        ["syn", "extract", "--pairs", PAIRS, "غائب"],
+        ["syn", "extract", "--pairs", PAIRS, "--format", "records", "غائب"],
+    ], ids=["translit", "strip", "split", "match", "jaccard", "dedup", "morph", "ner-tag",
+            "ner-decode", "wsd-annotate-records", "relatedness-score", "syn-extract",
+            "syn-extract-records"])
+    def test_nothing_to_print_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        feed(monkeypatch, "")
+        assert dispatch([str(empty) if a == "EMPTY_FILE" else a for a in argv]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestTextCommands:
     def test_translit_round_trip_via_stdio(self, monkeypatch, capsys):

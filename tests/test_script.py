@@ -1,13 +1,14 @@
+import itertools
 import random
 import unicodedata
 
 import pytest
 
+import aranlp
 from aranlp import script
 from aranlp.errors import ConflictingDiacritics, LeadingDiacritic, NonArabicLetter
 from aranlp.script import (
     ARABIC_LETTERS,
-    StripOptions,
     ar_strip,
     decompose,
     from_buckwalter,
@@ -16,7 +17,30 @@ from aranlp.script import (
     to_buckwalter_report,
 )
 
-from _oracles import LETTERS, VOWEL_CODEPOINTS, random_token
+from _oracles import LETTERS, VOWEL_CODEPOINTS, random_token, reference_ar_strip
+
+STRIP_FLAGS = ("diacritics", "shaddah", "digits", "unify_alif", "special_chars", "tatweel")
+ALL_FLAG_SETTINGS = [
+    dict(zip(STRIP_FLAGS, values)) for values in itertools.product((False, True), repeat=6)
+]
+
+# Character classes for random strip inputs; every class must be drawn.
+STRIP_POOLS = {
+    "letter": "".join(LETTERS),
+    "alif variant": "".join(sorted(script.ALIF_VARIANTS)),
+    "vowel": VOWEL_CODEPOINTS,
+    "shaddah": script.SHADDAH,
+    "dagger alif": "\u0670",
+    "tatweel": script.TATWEEL,
+    "ascii digit": "0123456789",
+    "arabic-indic digit": "".join(chr(cp) for cp in range(0x0660, 0x066A)),
+    "extended arabic-indic digit": "".join(chr(cp) for cp in range(0x06F0, 0x06FA)),
+    "arabic punctuation": "\u060c\u061b\u061f\u066a\u066b\u066c\u06d4",
+    "ascii punctuation": "!\"#%&'()*,-./:;?@[\\]_{}",
+    "symbol": "$+<=>^`|~\u00a9\u00b0\u20ac\u060b\ufdfc",
+    "whitespace": " \t\n\u00a0\u2003",
+    "above U+FFFF": "\U00010000\U0001d7d8\U0001ee00\U0001f319\U0001f600",
+}
 
 
 class TestDecompose:
@@ -76,7 +100,7 @@ class TestArStrip:
 
     def test_all_false_is_identity(self):
         for text in ("abc", "فَعَلَ", "a1!ـ", ""):
-            assert ar_strip(text, StripOptions()) == text
+            assert ar_strip(text) == text
 
     def test_shaddah_flag_is_separate(self):
         word = "بَّ"  # NFC orders fatha before shaddah
@@ -99,9 +123,53 @@ class TestArStrip:
         alphabet = LETTERS + list(VOWEL_CODEPOINTS) + list("abc12؟,.ـ٣")
         for _ in range(200):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-            options = StripOptions(*(rng.random() < 0.5 for _ in range(6)))
-            once = ar_strip(text, options)
-            assert ar_strip(once, options) == once
+            flags = dict(zip(STRIP_FLAGS, (rng.random() < 0.5 for _ in range(6))))
+            once = ar_strip(text, **flags)
+            assert ar_strip(once, **flags) == once
+
+    def test_matches_reference_on_random_text(self):
+        rng = random.Random(606)
+        classes = list(STRIP_POOLS)
+        drawn = set()
+        texts = []
+        for _ in range(300):
+            chars = []
+            for _ in range(rng.randint(0, 24)):
+                name = rng.choice(classes)
+                drawn.add(name)
+                chars.append(rng.choice(STRIP_POOLS[name]))
+            texts.append("".join(chars))
+        assert drawn == set(classes)
+        for flags in ALL_FLAG_SETTINGS:
+            for text in texts:
+                assert ar_strip(text, **flags) == reference_ar_strip(text, **flags), flags
+
+    def test_matches_reference_per_codepoint(self):
+        chars = [
+            chr(cp)
+            for lo, hi in ((0x0000, 0x08FF), (0x2000, 0x206F), (0xFB50, 0xFEFF))
+            for cp in range(lo, hi + 1)
+        ]
+        for flags in ALL_FLAG_SETTINGS:
+            got = [ar_strip(ch, **flags) for ch in chars]
+            assert got == [reference_ar_strip(ch, **flags) for ch in chars], flags
+
+    def test_flags_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ar_strip("فَ", True)
+
+    def test_strip_options_is_gone(self):
+        assert not hasattr(script, "StripOptions")
+        assert not hasattr(aranlp, "StripOptions")
+        assert "StripOptions" not in aranlp.__all__
+
+    def test_table_cache_keeps_one_table_per_truth_value(self):
+        for value in (1, "yes", [0], 0, "", [], None):
+            flags = dict.fromkeys(STRIP_FLAGS, value)
+            assert ar_strip("أَبّـ1؟", **flags) == ar_strip("أَبّـ1؟", **{
+                name: bool(value) for name in STRIP_FLAGS
+            })
+        assert script._strip_table.cache_info().currsize <= 32
 
 
 class TestBuckwalter:

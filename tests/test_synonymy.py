@@ -115,6 +115,11 @@ class TestSynExtract:
         with pytest.raises(DuplicateSeed):
             syn_extract(["طريق", "طريق"], 2, pair_graph)
 
+    def test_duplicate_seeds_are_all_named(self, pair_graph):
+        with pytest.raises(DuplicateSeed) as info:
+            syn_extract(["طريق", "سبيل", "طريق", "قطة", "سبيل"], 2, pair_graph)
+        assert str(info.value) == "duplicated term(s): ['سبيل', 'طريق']"
+
     def test_empty_seeds(self, pair_graph):
         with pytest.raises(EmptyInput):
             syn_extract([], 2, pair_graph)
@@ -201,6 +206,11 @@ class TestSynEval:
     def test_duplicate_term(self, pair_graph):
         with pytest.raises(DuplicateSeed):
             syn_eval(["طريق", "طريق"], 2, pair_graph)
+
+    def test_duplicate_terms_are_all_named(self, pair_graph):
+        with pytest.raises(DuplicateSeed) as info:
+            syn_eval(["قطة", "طريق", "سبيل", "سبيل", "طريق"], 2, pair_graph)
+        assert str(info.value) == "duplicated term(s): ['سبيل', 'طريق']"
 
     def test_requires_two_terms(self, pair_graph):
         with pytest.raises(EmptyInput):
