@@ -52,6 +52,21 @@ def fields(
     raise MalformedRow(lineno, f"expected {layout}")
 
 
+def span_row(lineno: int, line: str, width: int, make):
+    """A `start<TAB>end<TAB>...` line of ``width`` fields as
+    ``make(start, end, *other fields stripped)``.  Non-integer offsets, or
+    a ValueError from ``make``, raise MalformedRow."""
+    start, end, *rest = fields(lineno, line, width)
+    try:
+        start, end = int(start), int(end)
+    except ValueError:
+        raise MalformedRow(lineno, "start and end must be integers") from None
+    try:
+        return make(start, end, *(field.strip() for field in rest))
+    except ValueError as exc:
+        raise MalformedRow(lineno, str(exc)) from None
+
+
 def rows(
     source: str | Path | Iterable[str],
     width: int | Collection[int],

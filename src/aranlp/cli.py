@@ -1,5 +1,9 @@
 """Command-line interface: one binary, one subcommand per component.
 
+A handler parses its arguments, calls one library function and renders
+the result.  Metrics, file formats and resource defaults belong to the
+library; no handler holds a second copy of one.
+
 Exit codes are uniform: 0 success, 1 data/validation error, 2 usage
 error.  Results go to stdout; diagnostics and advisories go to stderr so
 pipelines stay clean.  Bad input files, unreadable paths and input that
@@ -12,17 +16,12 @@ import argparse
 import json
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 
 from . import _tsv, evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
-from .errors import AranlpError, MalformedRow, MisalignedCorpus, SeedNotInGraphWarning
+from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
 from .relatedness import (
-    HashedTrigramProvider,
-    load_pairs,
-    relatedness,
-    spearman,
-    to_unit_interval,
+    HashedTrigramProvider, evaluate_pairs, load_pairs, relatedness, to_unit_interval,
 )
 
 PROG = "aranlp"
@@ -47,8 +46,9 @@ def _add_input_options(parser, with_format=True):
         )
 
 
-def _records(objects):
-    return (json.dumps(o, ensure_ascii=False) for o in objects)
+def _record(obj) -> str:
+    """One JSON line; a dataclass (a span, a solution) becomes its fields."""
+    return json.dumps(obj, ensure_ascii=False, default=vars)
 
 
 def _print_joined(items, sep: str = "\n") -> None:
@@ -56,10 +56,6 @@ def _print_joined(items, sep: str = "\n") -> None:
     items = list(items)
     if items:
         print(sep.join(items))
-
-
-def _registry() -> resources.ResourceRegistry:
-    return resources.ResourceRegistry()
 
 
 # --- translit / strip / split / match / jaccard / dedup -------------------
@@ -135,11 +131,7 @@ def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
 def _match_line(w1: str, w2: str, fmt: str) -> str:
     verdict = textutils.match_words(w1, w2)
     if fmt == "records":
-        return json.dumps(
-            {"w1": w1, "w2": w2, "relation": verdict.relation,
-             "first_conflict": verdict.first_conflict},
-            ensure_ascii=False,
-        )
+        return _record({"w1": w1, "w2": w2, **vars(verdict)})
     if verdict.first_conflict is None:
         return verdict.relation
     return f"{verdict.relation}\t{verdict.first_conflict}"
@@ -154,10 +146,8 @@ def _cmd_match(args) -> int:
 
 def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
     if fmt == "records":
-        return json.dumps(
-            {"union": report.union_size, "intersection": report.intersection_size,
-             "similarity": report.similarity},
-        )
+        return _record({"union": report.union_size, "intersection": report.intersection_size,
+                        "similarity": report.similarity})
     return (
         f"union\t{report.union_size}\n"
         f"intersection\t{report.intersection_size}\n"
@@ -182,51 +172,40 @@ def _cmd_dedup(args) -> int:
 
 # --- morph -----------------------------------------------------------------
 
-def _load_dictionary(args) -> morphology.MorphDictionary:
-    if args.dict:
-        return morphology.load_dictionary(args.dict)
-    return _registry().load("morph_dictionary")
+def _morph_fields(value) -> str:
+    """A lookup answer as text: a solution's tab-separated fields, a single
+    field as it is, or `-` when out of vocabulary."""
+    if value is None:
+        return "-"
+    if isinstance(value, morphology.MorphSolution):
+        return "\t".join(map(str, vars(value).values()))
+    return value
 
 
 def _cmd_morph(args) -> int:
-    dictionary = _load_dictionary(args)
-    tokens = _read_text(args).split()
+    dictionary = resources.load("morph_dictionary", args.dict)
     out = []
-    for token in tokens:
+    for token in _read_text(args).split():
         if args.all:
             solutions = morphology.all_solutions(token, dictionary)
             if args.format == "records":
-                out.append(json.dumps(
-                    {"surface": token,
-                     "solutions": [vars(s) for s in solutions]},
-                    ensure_ascii=False,
-                ))
+                out.append(_record({"surface": token, "solutions": solutions}))
             elif not solutions:
                 out.append(f"{token}\t-")
             else:
                 out.extend(
-                    f"{token}\t{rank}\t{s.lemma}\t{s.pos}\t{s.root}\t{s.frequency}"
+                    f"{token}\t{rank}\t{_morph_fields(s)}"
                     for rank, s in enumerate(solutions, start=1)
                 )
             continue
         tagged = morphology.analyze(token, dictionary, args.task)
         if args.format == "records":
-            record = {"surface": token, "source": tagged.source, "task": args.task}
-            record["value"] = (
-                vars(tagged.solution) if args.task == "full" else tagged.value
-            ) if tagged.solution else None
-            out.append(json.dumps(record, ensure_ascii=False))
+            out.append(_record(
+                {"surface": token, "source": tagged.source, "task": args.task,
+                 "value": tagged.value}
+            ))
         else:
-            solution = tagged.solution
-            if solution is None:
-                out.append(f"{token}\t-\t{tagged.source}")
-            elif args.task == "full":
-                out.append(
-                    f"{token}\t{solution.lemma}\t{solution.pos}\t{solution.root}"
-                    f"\t{solution.frequency}\t{tagged.source}"
-                )
-            else:
-                out.append(f"{token}\t{tagged.value}\t{tagged.source}")
+            out.append(f"{token}\t{_morph_fields(tagged.value)}\t{tagged.source}")
     _print_joined(out)
     return 0
 
@@ -244,49 +223,45 @@ def _load_types(args) -> ner.EntityTypeSet:
 
 
 def _load_gazetteer_tagger(args) -> ner.GazetteerTagger:
-    if getattr(args, "gazetteer", None):
-        gazetteer = ner.load_gazetteer(args.gazetteer)
-    else:
-        gazetteer = _registry().load("gazetteer")
-    return ner.GazetteerTagger(gazetteer, _load_types(args))
+    return ner.GazetteerTagger(resources.load("gazetteer", args.gazetteer), _load_types(args))
 
 
-def _span_lines(spans) -> list[str]:
-    if not spans:
-        return ["-"]
-    return [f"{s.start}\t{s.end}\t{s.type}" for s in spans]
+def _matrix_block(matrix: ner.LabelMatrix) -> str:
+    """The token line, then one `TYPE<TAB>label label ...` line per type;
+    a sentence with no tokens is the lone NO_SPANS line of span files."""
+    if not matrix.tokens:
+        return ner.NO_SPANS
+    rows = (f"{type_name}\t{' '.join(row)}" for type_name, row in matrix.labels.items())
+    return "\n".join([" ".join(matrix.tokens), *rows])
 
 
-def _ner_block(matrix: ner.LabelMatrix, args) -> str:
-    """One sentence of `ner tag` or `ner decode` output: a JSON record, the
-    label matrix, or the decoded span lines."""
+def _print_matrices(matrices: list[ner.LabelMatrix], args) -> None:
+    """`ner tag` and `ner decode` output: one JSON record per sentence, the
+    label matrices, or the decoded span file."""
     if args.format == "records":
-        spans = ner.decode_matrix(matrix)
-        return json.dumps(
-            {"tokens": list(matrix.tokens),
-             "spans": [{"start": s.start, "end": s.end, "type": s.type} for s in spans]},
-            ensure_ascii=False,
+        _print_joined(
+            _record({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices
         )
-    if getattr(args, "output", "spans") == "matrix":
-        rows = (f"{type_name}\t{' '.join(row)}" for type_name, row in matrix.labels.items())
-        return "\n".join([" ".join(matrix.tokens), *rows])
-    return "\n".join(_span_lines(ner.decode_matrix(matrix)))
+    elif getattr(args, "output", "spans") == "matrix":
+        _print_joined(map(_matrix_block, matrices), "\n\n")
+    else:
+        sys.stdout.write(ner.format_span_file([ner.decode_matrix(m) for m in matrices]))
 
 
 def _cmd_ner_tag(args) -> int:
     tagger = _load_gazetteer_tagger(args)
-    _print_joined(
-        (_ner_block(tagger.classify(line.split()), args) for line in _read_lines(args)),
-        "\n\n",
-    )
+    _print_matrices([tagger.classify(line.split()) for line in _read_lines(args)], args)
     return 0
 
 
 def _parse_matrix_blocks(lines) -> list[ner.LabelMatrix]:
     """Per block, the token line, then one `TYPE<TAB>label label ...` line
-    per type; an invalid matrix is reported at its token line."""
+    per type; a block of the lone line NO_SPANS has no tokens.  An invalid
+    matrix is reported at its token line."""
     matrices = []
     for (lineno, tokens), *row_lines in _tsv.blocks(lines):
+        if not row_lines and tokens.strip() == ner.NO_SPANS:
+            tokens = ""
         rows: dict[str, tuple[str, ...]] = {}
         for row_lineno, line in row_lines:
             type_name, labels = _tsv.fields(row_lineno, line, 2, "`TYPE<TAB>label label ...`")
@@ -299,91 +274,42 @@ def _parse_matrix_blocks(lines) -> list[ner.LabelMatrix]:
 
 
 def _cmd_ner_decode(args) -> int:
-    matrices = _parse_matrix_blocks(_read_lines(args))
-    _print_joined((_ner_block(matrix, args) for matrix in matrices), "\n\n")
+    _print_matrices(_parse_matrix_blocks(_read_lines(args)), args)
     return 0
+
+
+def _print_report(report: evaluation.EvalReport, args) -> None:
+    print(report.render_records() if args.format == "records" else report.render_text())
 
 
 def _cmd_ner_eval(args) -> int:
     gold = ner.read_span_file(args.gold)
     pred = ner.read_span_file(args.pred)
-    if len(gold) != len(pred):
-        raise MisalignedCorpus(
-            f"gold has {len(gold)} sentence blocks, predictions have {len(pred)}"
-        )
-    if args.mode == "flat":
-        order: dict[str, int] = {}
-        for sentence in (*gold, *pred):
-            for span in sentence:
-                order.setdefault(span.type, len(order))
-        type_order = sorted(order, key=order.get)
-        gold = [ner.project_flat(s, type_order) for s in gold]
-        pred = [ner.project_flat(s, type_order) for s in pred]
-    # Spans are matched as multisets within each sentence, as span_f1
-    # matches them; the counts are then summed per type and overall.
-    gold_n, pred_n, correct_n = Counter(), Counter(), Counter()
-    for g_spans, p_spans in zip(gold, pred):
-        g = Counter((s.start, s.end, s.type) for s in g_spans)
-        p = Counter((s.start, s.end, s.type) for s in p_spans)
-        gold_n.update(s.type for s in g_spans)
-        pred_n.update(s.type for s in p_spans)
-        correct_n.update(type_name for _, _, type_name in (g & p).elements())
-    categories = []
-    for type_name in sorted(gold_n | pred_n):
-        g, p, c = gold_n[type_name], pred_n[type_name], correct_n[type_name]
-        prf = ner.prf_from_counts(g, p, c)
-        categories.append(evaluation.CategoryResult(type_name, g, p, c, prf.f1))
-    overall = ner.prf_from_counts(gold_n.total(), pred_n.total(), correct_n.total())
-    report = evaluation.EvalReport(
-        f"span evaluation ({args.mode}, exact match)", "F1", tuple(categories), overall.f1
-    )
-    print(report.render_records() if args.format == "records" else report.render_text())
-    print(
-        f"precision {evaluation.format_percent(overall.precision)}"
-        f"  recall {evaluation.format_percent(overall.recall)}"
-        f"  f1 {evaluation.format_percent(overall.f1)}",
-        file=sys.stderr,
-    )
+    report, overall = ner.span_report(gold, pred, args.mode)
+    _print_report(report, args)
+    scores = (f"{name} {evaluation.format_percent(v)}" for name, v in overall._asdict().items())
+    print("  ".join(scores), file=sys.stderr)
     return 0
 
 
 # --- wsd ---------------------------------------------------------------------
-
-def _load_inventory(args) -> wsd.SenseInventory:
-    if args.inventory:
-        return wsd.load_inventory(args.inventory)
-    return _registry().load("sense_inventory")
-
 
 def _build_verifier(args, dictionary):
     if args.verifier == "overlap":
         return wsd.OverlapVerifier(dictionary)
     if not args.gold:
         raise AranlpError("--verifier oracle requires --gold")
-    gold_ids = set()
-    for sentence in wsd.read_annotated_corpus(args.gold):
-        for span in sentence.spans:
-            if span.kind != wsd.KIND_ENTITY:
-                gold_ids.update(span.payload.split(wsd.ALTERNATIVES_SEP))
-    return wsd.OracleVerifier(gold_ids)
+    return wsd.OracleVerifier(wsd.gold_gloss_ids(wsd.read_annotated_corpus(args.gold)))
 
 
 def _cmd_wsd_annotate(args) -> int:
-    dictionary = _load_dictionary(args)
-    inventory = _load_inventory(args)
+    dictionary = resources.load("morph_dictionary", args.dict)
+    inventory = resources.load("sense_inventory", args.inventory)
     tagger = _load_gazetteer_tagger(args)
     verifier = _build_verifier(args, dictionary)
-    annotated = wsd.annotate_corpus(
-        _read_lines(args), inventory, tagger, verifier, dictionary
-    )
+    annotated = wsd.annotate_corpus(_read_lines(args), inventory, tagger, verifier, dictionary)
     if args.format == "records":
-        _print_joined(_records(
-            {
-                "tokens": list(sentence.tokens),
-                "spans": [vars(s) for s in sentence.spans],
-            }
-            for sentence in annotated
-        ))
+        _print_joined(_record({"tokens": s.tokens, "spans": s.spans}) for s in annotated)
     else:
         sys.stdout.write(wsd.format_annotated_corpus(annotated))
     return 0
@@ -392,19 +318,7 @@ def _cmd_wsd_annotate(args) -> int:
 def _cmd_wsd_eval(args) -> int:
     gold = wsd.read_annotated_corpus(args.gold)
     pred = wsd.read_annotated_corpus(args.pred)
-    totals = wsd.corpus_counts(gold, pred)
-    categories = []
-    for name, (gold_n, correct, tokens) in totals.items():
-        kind = wsd.KIND_BY_CATEGORY[name]
-        pred_n = sum(1 for s in pred for span in s.spans if span.kind == kind)
-        categories.append(evaluation.CategoryResult(
-            name, gold_n, pred_n, correct, wsd.accuracy_from_counts(totals, name), tokens
-        ))
-    overall = wsd.accuracy_from_counts(totals)
-    report = evaluation.EvalReport(
-        "sense annotation accuracy", "accuracy", tuple(categories), overall
-    )
-    print(report.render_records() if args.format == "records" else report.render_text())
+    _print_report(wsd.accuracy_report(gold, pred), args)
     return 0
 
 
@@ -418,10 +332,7 @@ def _cmd_relatedness_score(args) -> int:
         if args.rescale:
             score = to_unit_interval(score)
         if args.format == "records":
-            out.append(json.dumps(
-                {"s1": pair.s1, "s2": pair.s2, "score": round(score, 6)},
-                ensure_ascii=False,
-            ))
+            out.append(_record({"s1": pair.s1, "s2": pair.s2, "score": round(score, 6)}))
         else:
             out.append(f"{score:.4f}")
     _print_joined(out)
@@ -429,23 +340,14 @@ def _cmd_relatedness_score(args) -> int:
 
 
 def _cmd_relatedness_eval(args) -> int:
-    pairs = load_pairs(args.pairs)
-    missing = [i for i, p in enumerate(pairs, start=1) if p.gold is None]
-    if missing:
-        raise AranlpError(f"pair {missing[0]}: relatedness eval requires a gold score on every row")
-    provider = HashedTrigramProvider()
-    predicted = [relatedness(p, provider) for p in pairs]
-    print(f"{spearman([p.gold for p in pairs], predicted):.4f}")
+    print(f"{evaluate_pairs(load_pairs(args.pairs), HashedTrigramProvider()):.4f}")
     return 0
 
 
 # --- syn ---------------------------------------------------------------------
 
 def _cmd_syn(args) -> int:
-    if args.pairs:
-        graph = synonymy.build_graph(args.pairs)
-    else:
-        graph = _registry().load("synonym_pairs")
+    graph = resources.load("synonym_pairs", args.pairs)
     run = synonymy.syn_extract if args.action == "extract" else synonymy.syn_eval
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SeedNotInGraphWarning)
@@ -453,11 +355,11 @@ def _cmd_syn(args) -> int:
     for warning in caught:
         print(f"advisory: {warning.message}", file=sys.stderr)
     if args.format == "records":
-        _print_joined(_records(
-            {"surface": r.term.surface, "language": r.term.language,
-             "score": float(r.score)}
+        _print_joined(
+            _record({"surface": r.term.surface, "language": r.term.language,
+                     "score": float(r.score)})
             for r in results
-        ))
+        )
     else:
         _print_joined(f"{r.term.surface}\t{r.percent}" for r in results)
     return 0
@@ -472,7 +374,7 @@ def _cmd_resources_install(args) -> int:
 
 
 def _cmd_resources_list(args) -> int:
-    for name, path, exists, _ in _registry().status():
+    for name, path, exists, _ in resources.ResourceRegistry().status():
         print(f"{name}\t{path}\t{'present' if exists else 'missing'}")
     return 0
 
@@ -491,8 +393,6 @@ def _cmd_eval(args) -> int:
             raise MalformedRow(lineno, "score and weight must be numbers") from None
         if not score_text.endswith("%") and not 0.0 <= score <= 1.0:
             raise MalformedRow(lineno, "plain scores must lie in [0, 1]; use a % suffix otherwise")
-        if weight <= 0:
-            raise MalformedRow(lineno, "weights must be positive")
         rows.append((score, weight))
     if not rows:
         raise AranlpError("no (score, weight) rows given")

@@ -87,6 +87,10 @@ class EmptyInput(AranlpError):
     """An aggregate operation received no elements."""
 
 
+class InvalidWeightedScore(AranlpError, ValueError):
+    """A (score, weight) pair has a non-finite score or weight, or a weight <= 0."""
+
+
 class DimensionMismatch(AranlpError):
     """Vectors of different dimensions were combined."""
 

@@ -1,22 +1,28 @@
-"""Shared metric utilities: weighted micro averages and evaluation report
-rendering used by the ner and wsd evaluation commands."""
+"""Shared metric utilities: weighted micro averages and the evaluation
+report that ner.span_report and wsd.accuracy_report build."""
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, InvalidWeightedScore
 
 
 def micro_average(scores: Sequence[tuple[float, float]]) -> float:
-    """Weighted mean of (score, weight) pairs; weights must be positive."""
+    """Weighted mean of (score, weight) pairs.  Scores must be finite and
+    weights positive and finite; the first pair that is not raises
+    InvalidWeightedScore, naming the pair by its 1-based position."""
     if not scores:
         raise EmptyInput("micro_average needs at least one (score, weight) pair")
-    for _, weight in scores:
-        if not weight > 0:
-            raise ValueError(f"weights must be positive, got {weight}")
+    for number, (score, weight) in enumerate(scores, start=1):
+        if not (math.isfinite(score) and math.isfinite(weight) and weight > 0):
+            raise InvalidWeightedScore(
+                f"pair {number}: scores must be finite and weights positive and finite, "
+                f"got ({score}, {weight})"
+            )
     total_weight = sum(weight for _, weight in scores)
     return sum(score * weight for score, weight in scores) / total_weight
 
@@ -52,15 +58,12 @@ class EvalReport:
         ]
         if self.overall is not None:
             rows.append(("overall (micro average)", "", "", "", format_percent(self.overall)))
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-            for i in range(len(headers))
-        ]
-        lines = [self.title]
-        lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-        for row in rows:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        return "\n".join(lines)
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        lines = (
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            for row in (headers, *rows)
+        )
+        return "\n".join([self.title, *lines])
 
     def render_records(self) -> str:
         records = [

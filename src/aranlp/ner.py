@@ -16,13 +16,17 @@ from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from . import _tsv
-from .errors import MalformedRow, TaggerFailure, UnknownEntityType
+from .errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
+from .evaluation import CategoryResult, EvalReport
 
 B, I, O = "B", "I", "O"
 IOB_LABELS = (B, I, O)
 _IOB_LABEL_SET = frozenset(IOB_LABELS)
 
 GAZETTEER_MAX_TOKENS = 5
+
+# The lone line of a span-file block for a sentence with no spans.
+NO_SPANS = "-"
 
 
 def default_entity_types() -> tuple[str, ...]:
@@ -260,16 +264,61 @@ class PRF(NamedTuple):
     f1: float
 
 
-def span_f1(gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]) -> PRF:
-    """Exact-match (start, end, type) micro scores over span multisets.
+def span_counts(
+    gold: Sequence[Sequence[EntitySpan]],
+    pred: Sequence[Sequence[EntitySpan]],
+    mode: str = "nested",
+) -> dict[str, tuple[int, int, int]]:
+    """Per-type (gold, predicted, correct) span counts over aligned
+    corpora, keyed in type-name order.  Within a sentence, spans match
+    exactly on (start, end, type) as multisets.  Mode "flat" first applies
+    project_flat, ranking types by first appearance in gold, then pred."""
+    if mode not in ("nested", "flat"):
+        raise ValueError(f"mode must be 'nested' or 'flat', got {mode!r}")
+    if len(gold) != len(pred):
+        raise MisalignedCorpus(
+            f"gold has {len(gold)} sentence blocks, predictions have {len(pred)}"
+        )
+    if mode == "flat":
+        order = list(dict.fromkeys(s.type for sentence in (*gold, *pred) for s in sentence))
+        gold = [project_flat(sentence, order) for sentence in gold]
+        pred = [project_flat(sentence, order) for sentence in pred]
+    counts: dict[str, list[int]] = {}
+    for gold_spans, pred_spans in zip(gold, pred):
+        g = Counter((s.start, s.end, s.type) for s in gold_spans)
+        p = Counter((s.start, s.end, s.type) for s in pred_spans)
+        for column, matched in enumerate((g, p, g & p)):
+            for (_, _, type_name), n in matched.items():
+                counts.setdefault(type_name, [0, 0, 0])[column] += n
+    return {type_name: tuple(counts[type_name]) for type_name in sorted(counts)}
 
-    Both sides empty scores 1.0; exactly one side empty scores 0.0.
-    """
-    gold_counts = Counter((s.start, s.end, s.type) for s in gold)
-    pred_counts = Counter((s.start, s.end, s.type) for s in pred)
-    return prf_from_counts(
-        gold_counts.total(), pred_counts.total(), (gold_counts & pred_counts).total()
+
+def _overall(counts: dict[str, tuple[int, int, int]]) -> PRF:
+    return prf_from_counts(*map(sum, zip((0, 0, 0), *counts.values())))
+
+
+def span_f1(gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]) -> PRF:
+    """Exact-match (start, end, type) micro scores over span multisets:
+    span_counts of a one-sentence corpus.  Both sides empty scores 1.0;
+    exactly one side empty scores 0.0."""
+    return _overall(span_counts([gold], [pred]))
+
+
+def span_report(
+    gold: Sequence[Sequence[EntitySpan]],
+    pred: Sequence[Sequence[EntitySpan]],
+    mode: str = "nested",
+) -> tuple[EvalReport, PRF]:
+    """`ner eval`'s result: the per-type F1 table with the overall micro
+    F1, and the overall micro scores, both from span_counts."""
+    counts = span_counts(gold, pred, mode)
+    categories = tuple(
+        CategoryResult(type_name, g, p, c, prf_from_counts(g, p, c).f1)
+        for type_name, (g, p, c) in counts.items()
     )
+    overall = _overall(counts)
+    title = f"span evaluation ({mode}, exact match)"
+    return EvalReport(title, "F1", categories, overall.f1), overall
 
 
 def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
@@ -284,33 +333,22 @@ def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
 
 def read_span_file(source: str | Path) -> list[list[EntitySpan]]:
     """Span file: one block per sentence, one `start<TAB>end<TAB>type`
-    line per span; a block holding the single line `-` is a sentence with
-    no entities."""
-    sentences: list[list[EntitySpan]] = []
-    for block in _tsv.blocks(source):
-        spans: list[EntitySpan] = []
-        for lineno, line in block:
-            if line.strip() == "-":
-                continue
-            fields = _tsv.fields(lineno, line, 3)
-            try:
-                start, end = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise MalformedRow(lineno, "start and end must be integers") from None
-            try:
-                spans.append(EntitySpan(start, end, fields[2].strip()))
-            except ValueError as exc:
-                raise MalformedRow(lineno, str(exc)) from None
-        sentences.append(spans)
-    return sentences
+    line per span; a block holding the single line NO_SPANS (`-`) is a
+    sentence with no entities."""
+    return [
+        [
+            _tsv.span_row(lineno, line, 3, EntitySpan)
+            for lineno, line in block
+            if line.strip() != NO_SPANS
+        ]
+        for block in _tsv.blocks(source)
+    ]
 
 
 def format_span_file(sentences: Sequence[Sequence[EntitySpan]]) -> str:
     """Inverse of read_span_file."""
-    blocks = []
-    for spans in sentences:
-        if spans:
-            blocks.append("\n".join(f"{s.start}\t{s.end}\t{s.type}" for s in spans))
-        else:
-            blocks.append("-")
+    blocks = [
+        "\n".join(f"{s.start}\t{s.end}\t{s.type}" for s in spans) or NO_SPANS
+        for spans in sentences
+    ]
     return "\n\n".join(blocks) + ("\n" if blocks else "")

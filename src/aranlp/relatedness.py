@@ -17,6 +17,7 @@ from typing import Protocol
 
 from . import _tsv
 from .errors import (
+    AranlpError,
     DegenerateConstantInput,
     DimensionMismatch,
     EmptyInput,
@@ -179,3 +180,14 @@ def spearman(gold: Sequence[float], pred: Sequence[float]) -> float:
     var_p = sum((p - mean_p) ** 2 for p in rank_pred)
     value = cov / math.sqrt(var_g * var_p)
     return max(-1.0, min(1.0, value))
+
+
+def evaluate_pairs(pairs: Sequence[SentencePair], provider: EmbeddingProvider) -> float:
+    """Spearman correlation of the pairs' gold scores with their
+    relatedness; every pair must carry a gold score."""
+    missing = [i for i, p in enumerate(pairs, start=1) if p.gold is None]
+    if missing:
+        raise AranlpError(
+            f"pair {missing[0]}: relatedness eval requires a gold score on every row"
+        )
+    return spearman([p.gold for p in pairs], [relatedness(p, provider) for p in pairs])

@@ -86,6 +86,14 @@ class ResourceRegistry:
         ]
 
 
+def load(name: str, path: str | Path | None = None):
+    """The named resource parsed from path when one is given, else from
+    the default registry root."""
+    if path:
+        return _loaders()[name](path)
+    return ResourceRegistry().load(name)
+
+
 @dataclass
 class InstallSummary:
     """Directory diff of one archive installation."""

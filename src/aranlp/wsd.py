@@ -33,7 +33,7 @@ from .errors import (
     MisalignedCorpus,
     VerifierFailure,
 )
-from .evaluation import micro_average
+from .evaluation import CategoryResult, EvalReport, micro_average
 from .morphology import MorphDictionary, analyze
 from .ner import EntitySpan, Tagger, decode_matrix, project_flat, run_tagger
 
@@ -392,21 +392,13 @@ def annotate_corpus(
 def read_annotated_corpus(source: str | Path) -> list[AnnotatedSentence]:
     """Annotated corpus file: one block per sentence, the sentence line
     followed by one `start<TAB>end<TAB>kind<TAB>payload` line per span."""
-    sentences: list[AnnotatedSentence] = []
-    for (_, sentence), *span_lines in _tsv.blocks(source):
-        spans: list[AnnotatedSpan] = []
-        for lineno, line in span_lines:
-            fields = _tsv.fields(lineno, line, 4)
-            try:
-                start, end = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise MalformedRow(lineno, "start and end must be integers") from None
-            try:
-                spans.append(AnnotatedSpan(start, end, fields[2].strip(), fields[3].strip()))
-            except ValueError as exc:
-                raise MalformedRow(lineno, str(exc)) from None
-        sentences.append(AnnotatedSentence(tuple(sentence.split()), tuple(spans)))
-    return sentences
+    return [
+        AnnotatedSentence(
+            tuple(sentence.split()),
+            tuple(_tsv.span_row(lineno, line, 4, AnnotatedSpan) for lineno, line in span_lines),
+        )
+        for (_, sentence), *span_lines in _tsv.blocks(source)
+    ]
 
 
 def format_annotated_corpus(sentences: Sequence[AnnotatedSentence]) -> str:
@@ -425,23 +417,30 @@ def _payload_matches(predicted: str, gold: str) -> bool:
     return predicted in gold.split(ALTERNATIVES_SEP)
 
 
+def gold_gloss_ids(gold: Sequence[AnnotatedSentence]) -> set[str]:
+    """Every gloss id a gold corpus accepts (an OracleVerifier's gold set):
+    the payloads of its non-entity spans, split at ALTERNATIVES_SEP."""
+    spans = (span for sentence in gold for span in sentence.spans if span.kind != KIND_ENTITY)
+    return {gloss_id for span in spans for gloss_id in span.payload.split(ALTERNATIVES_SEP)}
+
+
 def _category_counts(
     gold: AnnotatedSentence,
     pred: AnnotatedSentence,
     kind: str,
-) -> tuple[int, int, int]:
-    """(gold spans, correct spans, gold tokens) for one sentence and kind."""
+) -> tuple[int, int, int, int]:
+    """(gold spans, predicted spans, correct spans, gold tokens) for one
+    sentence and kind."""
     gold_spans = [s for s in gold.spans if s.kind == kind]
-    pred_index = {
-        (s.start, s.end): s.payload for s in pred.spans if s.kind == kind
-    }
+    pred_spans = [s for s in pred.spans if s.kind == kind]
+    pred_index = {(s.start, s.end): s.payload for s in pred_spans}
     correct = 0
     for span in gold_spans:
         predicted = pred_index.get((span.start, span.end))
         if predicted is not None and _payload_matches(predicted, span.payload):
             correct += 1
     tokens = sum(s.token_count for s in gold_spans)
-    return len(gold_spans), correct, tokens
+    return len(gold_spans), len(pred_spans), correct, tokens
 
 
 CATEGORIES = ("ner", "multiword", "singleword", "overall")
@@ -455,9 +454,10 @@ KIND_BY_CATEGORY = {
 def corpus_counts(
     gold: Sequence[AnnotatedSentence],
     pred: Sequence[AnnotatedSentence],
-) -> dict[str, tuple[int, int, int]]:
-    """Per-category (gold spans, correct spans, gold tokens) over aligned
-    corpora; raises MisalignedCorpus on sentence or token count drift."""
+) -> dict[str, tuple[int, int, int, int]]:
+    """Per-category (gold spans, predicted spans, correct spans, gold
+    tokens) over aligned corpora; raises MisalignedCorpus on sentence or
+    token count drift."""
     if len(gold) != len(pred):
         raise MisalignedCorpus(
             f"gold has {len(gold)} sentences, predictions have {len(pred)}"
@@ -467,14 +467,11 @@ def corpus_counts(
             raise MisalignedCorpus(
                 f"sentence {i}: gold has {len(g.tokens)} tokens, predictions have {len(p.tokens)}"
             )
-    totals = {name: [0, 0, 0] for name in KIND_BY_CATEGORY}
+    totals = {name: (0, 0, 0, 0) for name in KIND_BY_CATEGORY}
     for g, p in zip(gold, pred):
         for name, kind in KIND_BY_CATEGORY.items():
-            gold_n, correct, tokens = _category_counts(g, p, kind)
-            totals[name][0] += gold_n
-            totals[name][1] += correct
-            totals[name][2] += tokens
-    return {name: tuple(counts) for name, counts in totals.items()}
+            totals[name] = tuple(map(sum, zip(totals[name], _category_counts(g, p, kind))))
+    return totals
 
 
 def wsd_accuracy(
@@ -497,19 +494,36 @@ def wsd_accuracy(
 
 
 def accuracy_from_counts(
-    totals: dict[str, tuple[int, int, int]],
+    totals: dict[str, tuple[int, int, int, int]],
     category: str = "overall",
 ) -> float:
     """wsd_accuracy's score for a category in CATEGORIES, from
     corpus_counts totals."""
     if category != "overall":
-        gold_n, correct, _ = totals[category]
+        gold_n, _, correct, _ = totals[category]
         return correct / gold_n if gold_n else 1.0
     weighted = [
         (correct / gold_n, tokens)
-        for gold_n, correct, tokens in totals.values()
+        for gold_n, _, correct, tokens in totals.values()
         if gold_n and tokens
     ]
     if not weighted:
         return 1.0
     return micro_average(weighted)
+
+
+def accuracy_report(
+    gold: Sequence[AnnotatedSentence],
+    pred: Sequence[AnnotatedSentence],
+) -> EvalReport:
+    """`wsd eval`'s table: per category the gold, predicted and correct
+    span counts, accuracy and gold-token weight, then the overall micro
+    average; the scores are wsd_accuracy's."""
+    totals = corpus_counts(gold, pred)
+    categories = tuple(
+        CategoryResult(name, gold_n, pred_n, correct, accuracy_from_counts(totals, name), tokens)
+        for name, (gold_n, pred_n, correct, tokens) in totals.items()
+    )
+    return EvalReport(
+        "sense annotation accuracy", "accuracy", categories, accuracy_from_counts(totals)
+    )

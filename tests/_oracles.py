@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from aranlp import morphology, script
+from aranlp.ner import project_flat
 from aranlp.textutils import INCOMPATIBLE, JaccardReport, match_words
 from aranlp.synonymy import TermNode, graph_from_pairs
 
@@ -53,6 +54,34 @@ def reference_flat(spans, type_order):
             if s is not best and not (s.start < best.end and best.start < s.end)
         ]
     return sorted(chosen, key=lambda s: (s.start, s.end, order[s.type]))
+
+
+def reference_ner_eval_counts(gold, pred, mode):
+    """`aranlp ner eval`'s counting as the command itself once held it:
+    the per-type (gold, predicted, correct) counts in type-name order, and
+    the overall totals."""
+    if mode == "flat":
+        order: dict[str, int] = {}
+        for sentence in (*gold, *pred):
+            for span in sentence:
+                order.setdefault(span.type, len(order))
+        type_order = sorted(order, key=order.get)
+        gold = [project_flat(s, type_order) for s in gold]
+        pred = [project_flat(s, type_order) for s in pred]
+    # Spans are matched as multisets within each sentence, as span_f1
+    # matches them; the counts are then summed per type and overall.
+    gold_n, pred_n, correct_n = Counter(), Counter(), Counter()
+    for g_spans, p_spans in zip(gold, pred):
+        g = Counter((s.start, s.end, s.type) for s in g_spans)
+        p = Counter((s.start, s.end, s.type) for s in p_spans)
+        gold_n.update(s.type for s in g_spans)
+        pred_n.update(s.type for s in p_spans)
+        correct_n.update(type_name for _, _, type_name in (g & p).elements())
+    per_type = {
+        type_name: (gold_n[type_name], pred_n[type_name], correct_n[type_name])
+        for type_name in sorted(gold_n | pred_n)
+    }
+    return per_type, (gold_n.total(), pred_n.total(), correct_n.total())
 
 
 def reference_gazetteer_rows(gazetteer, types, tokens, max_tokens=5) -> dict:

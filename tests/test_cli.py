@@ -229,6 +229,41 @@ class TestNerCommands:
         assert dispatch(["ner", "decode"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t2\tORG", "7\t8\tGPE"]
 
+    def test_tag_matrix_then_decode_keeps_blank_lines(self, monkeypatch, capsys):
+        text = f"\n{EXAMPLE}\n\nمصر\n\n"  # leading, inner and trailing blank lines
+        feed(monkeypatch, text)
+        assert dispatch(["ner", "tag", "--gazetteer", GAZ]) == 0
+        spans_text = capsys.readouterr().out
+        assert spans_text == "-\n\n0\t2\tORG\n7\t8\tGPE\n\n-\n\n0\t1\tGPE\n\n-\n"
+        feed(monkeypatch, text)
+        assert dispatch(["ner", "tag", "--gazetteer", GAZ, "--output", "matrix"]) == 0
+        matrix_text = capsys.readouterr().out
+        feed(monkeypatch, matrix_text)
+        assert dispatch(["ner", "decode"]) == 0
+        assert capsys.readouterr().out == spans_text
+        feed(monkeypatch, matrix_text)
+        assert dispatch(["ner", "decode", "--format", "records"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["tokens"] for r in records] == [[], EXAMPLE.split(), [], ["مصر"], []]
+
+    @pytest.mark.parametrize("command", [
+        ["ner", "tag", "--gazetteer", GAZ, "--format", "records"],
+        ["ner", "decode", "--format", "records"],
+    ], ids=["tag", "decode"])
+    def test_records_are_one_json_object_per_line(self, command, monkeypatch, capsys):
+        feed(monkeypatch, f"{EXAMPLE}\nمصر\n")
+        assert dispatch(["ner", "tag", "--gazetteer", GAZ, "--output", "matrix"]) == 0
+        matrix_text = capsys.readouterr().out
+        feed(monkeypatch, matrix_text if command[1] == "decode" else f"{EXAMPLE}\nمصر\n")
+        assert dispatch(command) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"tokens": EXAMPLE.split(), "spans": [
+                {"start": 0, "end": 2, "type": "ORG"}, {"start": 7, "end": 8, "type": "GPE"},
+            ]},
+            {"tokens": ["مصر"], "spans": [{"start": 0, "end": 1, "type": "GPE"}]},
+        ]
+
     def test_decode_reports_an_invalid_matrix_at_its_token_line(self, monkeypatch, capsys):
         feed(monkeypatch, "# matrix\n\nكتب ذهب\nPERS\tB O\nORG\tB\n\n")
         assert dispatch(["ner", "decode"]) == 1
@@ -456,3 +491,14 @@ class TestResourceAndEvalCommands:
     def test_eval_rejects_out_of_range_plain_score(self, monkeypatch, capsys):
         feed(monkeypatch, "85.31\t4389\n")
         assert dispatch(["eval"]) == 1
+
+    @pytest.mark.parametrize("row", [
+        "0.5\tnan", "0.5\tinf", "0.5\t-inf", "0.5\t0", "nan%\t1", "inf%\t1", "-inf%\t1",
+    ])
+    def test_eval_rejects_non_finite_and_nonpositive_rows(self, row, monkeypatch, capsys):
+        feed(monkeypatch, f"# header\n85.31%\t4389\n{row}\n")
+        assert dispatch(["eval"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("aranlp: error: pair 2: ")
+        assert captured.err.count("\n") == 1

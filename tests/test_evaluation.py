@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from aranlp.errors import EmptyInput
+from aranlp.errors import AranlpError, EmptyInput, InvalidWeightedScore
 from aranlp.evaluation import CategoryResult, EvalReport, format_percent, micro_average
 
 
@@ -34,6 +36,16 @@ class TestMicroAverage:
             micro_average([(0.5, 0)])
         with pytest.raises(ValueError):
             micro_average([(0.5, -2)])
+
+    @pytest.mark.parametrize("pair", [
+        (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf), (0.5, 0), (0.5, -1.0),
+        (math.nan, 1), (math.inf, 1), (-math.inf, 1),
+    ])
+    def test_non_finite_or_nonpositive_pair_is_a_typed_error(self, pair):
+        with pytest.raises(InvalidWeightedScore) as err:
+            micro_average([(0.25, 3), pair])
+        assert isinstance(err.value, AranlpError) and isinstance(err.value, ValueError)
+        assert str(err.value).startswith("pair 2: ")
 
 
 class TestRendering:

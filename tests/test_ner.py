@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from aranlp.errors import MalformedRow, TaggerFailure, UnknownEntityType
+from aranlp.errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
 from aranlp.ner import (
     EntitySpan,
     EntityTypeSet,
@@ -15,15 +15,23 @@ from aranlp.ner import (
     default_entity_types,
     format_span_file,
     load_gazetteer,
+    prf_from_counts,
     project_flat,
     read_span_file,
     run_tagger,
+    span_counts,
     span_f1,
+    span_report,
     tag_gazetteer,
 )
 
 
-from _oracles import reference_decode, reference_flat, reference_gazetteer_rows
+from _oracles import (
+    reference_decode,
+    reference_flat,
+    reference_gazetteer_rows,
+    reference_ner_eval_counts,
+)
 
 
 class TestDecodeIob:
@@ -257,6 +265,81 @@ class TestSpanF1:
             g, p = spans(), spans()
             assert span_f1(g, p).f1 == pytest.approx(span_f1(p, g).f1)
             assert span_f1(g, p).precision == pytest.approx(span_f1(p, g).recall)
+
+
+class TestSpanCounts:
+    def test_equal_to_the_reference_counting(self):
+        rng = random.Random(47)
+        seen = Counter()
+
+        def corpus_pair():
+            types = rng.sample("ABCDE", rng.randint(1, 3))
+            gold, pred = [], []
+            for _ in range(rng.randint(0, 6)):
+                sentence = []
+                for _ in range(rng.choice((0, 0, 1, 2, 4))):
+                    start = rng.randint(0, 5)
+                    sentence.append(EntitySpan(start, start + rng.randint(1, 3), rng.choice(types)))
+                gold.append(sentence)
+                # The prediction keeps some gold spans, repeats some and adds
+                # spans of its own types, one of which gold may lack.
+                kept = [s for s in sentence if rng.random() < 0.6]
+                kept += [s for s in kept if rng.random() < 0.2]
+                for _ in range(rng.randint(0, 2)):
+                    start = rng.randint(0, 5)
+                    kept.append(EntitySpan(start, start + rng.randint(1, 3), rng.choice("AF")))
+                rng.shuffle(kept)
+                pred.append(kept)
+            return gold, pred
+
+        for _ in range(400):
+            gold, pred = corpus_pair()
+            sentences = [*gold, *pred]
+            seen["duplicate span"] += any(len(set(s)) < len(s) for s in sentences)
+            seen["type on one side only"] += bool(
+                {x.type for s in gold for x in s} ^ {x.type for s in pred for x in s}
+            )
+            seen["empty sentence"] += any(not s for s in sentences)
+            seen["overlap across types"] += any(
+                a.type != b.type and a.overlaps(b) for s in sentences for a in s for b in s
+            )
+            results = {}
+            for mode in ("nested", "flat"):
+                per_type, totals = reference_ner_eval_counts(gold, pred, mode)
+                results[mode] = span_counts(gold, pred, mode)
+                assert results[mode] == per_type
+                assert list(results[mode]) == list(per_type)
+                report, overall = span_report(gold, pred, mode)
+                assert overall == prf_from_counts(*totals)
+                assert report.overall == overall.f1
+                rows = [(c.name, c.gold, c.predicted, c.correct, c.score) for c in report.categories]
+                assert rows == [
+                    (name, *counts, prf_from_counts(*counts).f1)
+                    for name, counts in per_type.items()
+                ]
+            seen["flat differs from nested"] += results["flat"] != results["nested"]
+            for g, p in zip(gold, pred):
+                _, totals = reference_ner_eval_counts([g], [p], "nested")
+                assert span_f1(g, p) == prf_from_counts(*totals)
+        assert len(seen) == 5 and min(seen.values()) > 0, seen
+
+    def test_flat_ranks_types_by_first_appearance_in_gold_then_pred(self):
+        # Two same-length spans at one start: the first type seen keeps it.
+        gold = [[EntitySpan(0, 2, "B")], [EntitySpan(0, 2, "A"), EntitySpan(0, 2, "B")]]
+        pred = [[EntitySpan(0, 2, "A")], [EntitySpan(0, 2, "B"), EntitySpan(0, 2, "A")]]
+        assert span_counts(gold, pred, "flat") == {"A": (0, 1, 0), "B": (2, 1, 1)}
+
+    def test_misaligned_and_unknown_mode(self):
+        with pytest.raises(MisalignedCorpus, match="gold has 1 sentence blocks, predictions have"):
+            span_counts([[]], [])
+        with pytest.raises(ValueError, match="mode must be"):
+            span_counts([], [], "loose")
+
+    def test_report_title_and_empty_corpus(self):
+        report, overall = span_report([[]], [[]], "flat")
+        assert report.title == "span evaluation (flat, exact match)"
+        assert report.categories == ()
+        assert overall == (1.0, 1.0, 1.0) and report.overall == 1.0
 
 
 class TestInterfaces:

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from aranlp.errors import (
+    AranlpError,
     DegenerateConstantInput,
     DimensionMismatch,
     EmptyInput,
@@ -17,6 +18,7 @@ from aranlp.relatedness import (
     HashedTrigramProvider,
     SentencePair,
     cosine,
+    evaluate_pairs,
     load_pairs,
     mean_pool,
     relatedness,
@@ -193,6 +195,23 @@ class TestRelatedness:
         bad.write_text("واحد\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_pairs(bad)
+
+
+class TestEvaluatePairs:
+    def test_spearman_of_gold_against_relatedness(self):
+        provider = HashedTrigramProvider()
+        pairs = [
+            SentencePair("كتاب جديد", "كتاب جديد", 0.9),
+            SentencePair("شمس مشرقة", "قطار سريع", 0.1),
+            SentencePair("ولد صغير", "ولد يافع", 0.6),
+        ]
+        expected = spearman([p.gold for p in pairs], [relatedness(p, provider) for p in pairs])
+        assert evaluate_pairs(pairs, provider) == expected
+
+    def test_names_the_first_pair_without_gold(self):
+        pairs = [SentencePair("أ", "ب", 0.5), SentencePair("ج", "د"), SentencePair("ه", "و")]
+        with pytest.raises(AranlpError, match="^pair 2: relatedness eval requires a gold score"):
+            evaluate_pairs(pairs, HashedTrigramProvider())
 
 
 class TestSpearman:

@@ -4,7 +4,7 @@ import zipfile
 
 import pytest
 
-from aranlp import _tsv, cli, morphology, ner, synonymy, wsd
+from aranlp import _tsv, cli, morphology, ner, resources, synonymy, wsd
 from aranlp.errors import BadArchive, MalformedRow, PathEscape, ResourceMissing
 from aranlp.ner import EntitySpan, LabelMatrix
 from aranlp.relatedness import load_pairs
@@ -54,6 +54,18 @@ class TestRegistry:
         first = registry.load("sense_inventory")
         assert registry.is_loaded("sense_inventory")
         assert registry.load("sense_inventory") is first
+
+    def test_load_prefers_an_explicit_path(self, tmp_path, monkeypatch, data_dir):
+        monkeypatch.setenv("ARANLP_RESOURCES", str(tmp_path))
+        gazetteer = data_dir / "gazetteer.tsv"
+        assert resources.load("gazetteer", gazetteer) == ner.load_gazetteer(gazetteer)
+        for path in (None, ""):
+            with pytest.raises(ResourceMissing):
+                resources.load("gazetteer", path)
+        target = tmp_path / RESOURCE_PATHS["gazetteer"]
+        target.parent.mkdir(parents=True)
+        target.write_text("مصر\tGPE\n", encoding="utf-8")
+        assert resources.load("gazetteer") == {"مصر": "GPE"}
 
     def test_status(self, tmp_path):
         rows = ResourceRegistry(tmp_path).status()

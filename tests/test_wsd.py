@@ -13,6 +13,8 @@ from aranlp.errors import (
 from aranlp.morphology import SOURCE_EXACT, SOURCE_OOV, SOURCE_STRIPPED, analyze
 from aranlp.ner import GazetteerTagger
 from aranlp.wsd import (
+    CATEGORIES,
+    KIND_BY_CATEGORY,
     KIND_ENTITY,
     KIND_MULTIWORD,
     KIND_SINGLEWORD,
@@ -23,10 +25,12 @@ from aranlp.wsd import (
     OverlapVerifier,
     SenseInventory,
     VerificationPair,
+    accuracy_report,
     annotate_corpus,
     disambiguate,
     format_annotated_corpus,
     generate_ngrams,
+    gold_gloss_ids,
     lemmatize_tokens,
     load_inventory,
     lookup_multiword,
@@ -405,6 +409,40 @@ class TestAccuracy:
         ))]
         # ner: 1/1 over 4 tokens; singleword: 1/2 over 2 tokens
         assert wsd_accuracy(gold, pred, "overall") == pytest.approx((1.0 * 4 + 0.5 * 2) / 6)
+
+    def test_report_counts_every_predicted_span_and_scores_like_wsd_accuracy(self):
+        corpus = build_corpus(seed=13, sentence_count=10)
+        pred = [AnnotatedSentence(s.tokens, s.spans[::2]) for s in corpus.gold]
+        # Two predicted spans at one position both count as predicted.
+        pred[0] = AnnotatedSentence(pred[0].tokens, pred[0].spans + pred[0].spans[:1])
+        report = accuracy_report(corpus.gold, pred)
+        assert report.title == "sense annotation accuracy"
+        assert report.overall == wsd_accuracy(corpus.gold, pred)
+        for category in report.categories:
+            kind = KIND_BY_CATEGORY[category.name]
+            assert category.predicted == sum(x.kind == kind for s in pred for x in s.spans)
+            assert category.gold == sum(x.kind == kind for s in corpus.gold for x in s.spans)
+            assert category.score == wsd_accuracy(corpus.gold, pred, category.name)
+        assert [c.name for c in report.categories] == list(CATEGORIES[:-1])
+
+    def test_gold_gloss_ids(self):
+        tokens = ("w1", "w2", "w3")
+        gold = [AnnotatedSentence(tokens, (
+            AnnotatedSpan(0, 1, KIND_ENTITY, "ORG"),
+            AnnotatedSpan(1, 3, KIND_MULTIWORD, "m1|m2"),
+        )), AnnotatedSentence(("w4",), (AnnotatedSpan(0, 1, KIND_SINGLEWORD, "s1"),))]
+        assert gold_gloss_ids(gold) == {"m1", "m2", "s1"}
+        assert gold_gloss_ids([]) == set()
+
+    def test_oracle_from_gold_ids_is_perfect(self):
+        corpus = build_corpus(seed=17, sentence_count=12)
+        ids = gold_gloss_ids(corpus.gold)
+        assert ids and ids <= corpus.gold_gloss_ids
+        predicted = annotate_corpus(
+            corpus.sentences, corpus.inventory, GazetteerTagger(corpus.gazetteer),
+            OracleVerifier(ids), corpus.dictionary,
+        )
+        assert wsd_accuracy(corpus.gold, predicted) == 1.0
 
     def test_misaligned_sentences(self):
         one = [AnnotatedSentence(("a",), ())]
