@@ -99,14 +99,11 @@ def _cmd_strip(args) -> int:
 
 def _cmd_split(args) -> int:
     classes = frozenset(name for name in args.sep.split(",") if name)
-    try:
-        config = textutils.SplitConfig(
-            classes=classes,
-            custom=frozenset(args.custom),
-            attach_separator=not args.drop_separator,
-        )
-    except ValueError as exc:
-        raise AranlpError(str(exc)) from None
+    config = textutils.SplitConfig(
+        classes=classes,
+        custom=frozenset(args.custom),
+        attach_separator=not args.drop_separator,
+    )
     _print_joined(textutils.split_sentences(_read_text(args), config))
     return 0
 
@@ -214,7 +211,7 @@ def _cmd_morph(args) -> int:
 
 def _load_types(args) -> ner.EntityTypeSet:
     if getattr(args, "types", None):
-        names = tuple(name.strip() for _, (name,) in _tsv.rows(args.types, 1))
+        names = ner.load_entity_types(args.types)
         try:
             return ner.EntityTypeSet(names)
         except ValueError as exc:

@@ -33,6 +33,10 @@ class EmptySeparatorSet(AranlpError):
     """Sentence splitting was configured with no separators at all."""
 
 
+class UnknownSeparatorClass(AranlpError, ValueError):
+    """Sentence splitting named a separator class that does not exist."""
+
+
 class InvalidThreshold(AranlpError):
     """Similarity threshold is negative or not a finite number."""
 

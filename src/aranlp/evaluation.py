@@ -14,7 +14,9 @@ from .errors import EmptyInput, InvalidWeightedScore
 def micro_average(scores: Sequence[tuple[float, float]]) -> float:
     """Weighted mean of (score, weight) pairs.  Scores must be finite and
     weights positive and finite; the first pair that is not raises
-    InvalidWeightedScore, naming the pair by its 1-based position."""
+    InvalidWeightedScore, naming the pair by its 1-based position.  Finite
+    pairs whose weights or weighted scores sum past the float range raise
+    InvalidWeightedScore too."""
     if not scores:
         raise EmptyInput("micro_average needs at least one (score, weight) pair")
     for number, (score, weight) in enumerate(scores, start=1):
@@ -24,7 +26,13 @@ def micro_average(scores: Sequence[tuple[float, float]]) -> float:
                 f"got ({score}, {weight})"
             )
     total_weight = sum(weight for _, weight in scores)
-    return sum(score * weight for score, weight in scores) / total_weight
+    weighted_sum = sum(score * weight for score, weight in scores)
+    if not (math.isfinite(total_weight) and math.isfinite(weighted_sum)):
+        raise InvalidWeightedScore(
+            f"the weights sum to {total_weight} and the weighted scores to "
+            f"{weighted_sum}; both sums must be finite"
+        )
+    return weighted_sum / total_weight
 
 
 def format_percent(value: float) -> str:

@@ -9,7 +9,7 @@ non-overlapping span set with a documented greedy rule.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -29,9 +29,14 @@ GAZETTEER_MAX_TOKENS = 5
 NO_SPANS = "-"
 
 
+def load_entity_types(source: str | Path | Iterable[str]) -> tuple[str, ...]:
+    """A type-list file: one entity type name per line, stripped."""
+    return tuple(name.strip() for _, (name,) in _tsv.rows(source, 1))
+
+
 def default_entity_types() -> tuple[str, ...]:
     """The packaged entity type pack (21 names; PERS/ORG/LOC/GPE required)."""
-    return tuple(name.strip() for _, (name,) in _tsv.rows(_tsv.packaged("entity_types.txt"), 1))
+    return load_entity_types(_tsv.packaged("entity_types.txt"))
 
 
 @dataclass(frozen=True)

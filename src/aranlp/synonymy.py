@@ -1,10 +1,15 @@
 """Multilingual synonymy graph and cycle-based synonym extraction.
 
 Terms are (surface, language) nodes; translation/synonymy pairs are
-directed edges.  A candidate belongs to a seed's synonym set when some
-simple directed cycle through the seed (no repeated vertex except the
-seed) of length <= 2*level contains it.  Scores are exact fractions:
-supporting seeds over total seeds.
+directed edges.  A term *supports* a node when some simple directed
+cycle through the term (no repeated vertex except the term) of length
+<= 2*level contains the node; a term never supports itself, and a term
+absent from the graph supports nothing.  Scores are exact fractions:
+
+- ``syn_extract``: a candidate in the seed language that is not a seed
+  scores (supporting seeds) / |seeds|;
+- ``syn_eval``: each input term scores (supporting other terms) /
+  (|terms| - 1).
 """
 
 from __future__ import annotations
@@ -59,23 +64,6 @@ class SynonymyGraph:
         return node in self.nodes
 
 
-def _make_graph(
-    nodes: set[TermNode],
-    edges: dict[tuple[TermNode, TermNode], set[str]],
-) -> SynonymyGraph:
-    successors: dict[TermNode, list[TermNode]] = {}
-    for src, dst in edges:
-        successors.setdefault(src, []).append(dst)
-    return SynonymyGraph(
-        frozenset(nodes),
-        {
-            src: tuple(sorted(dsts, key=lambda n: (n.language, n.surface)))
-            for src, dsts in successors.items()
-        },
-        {pair: frozenset(labels) for pair, labels in edges.items()},
-    )
-
-
 def graph_from_pairs(pairs) -> SynonymyGraph:
     """Build from in-memory rows: (source node, target node, lexicon_id,
     symmetric).  Self-loops are skipped."""
@@ -89,7 +77,17 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
         edges.setdefault((src, dst), set()).add(lexicon)
         if symmetric:
             edges.setdefault((dst, src), set()).add(lexicon)
-    return _make_graph(nodes, edges)
+    successors: dict[TermNode, list[TermNode]] = {}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+    return SynonymyGraph(
+        frozenset(nodes),
+        {
+            src: tuple(sorted(dsts, key=lambda n: (n.language, n.surface)))
+            for src, dsts in successors.items()
+        },
+        {pair: frozenset(labels) for pair, labels in edges.items()},
+    )
 
 
 def build_graph(source: str | Path) -> SynonymyGraph:
@@ -156,29 +154,37 @@ def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set
     return members
 
 
-def _validate_terms(terms: Sequence[str], minimum: int, what: str) -> None:
+def _seed_support(
+    terms: Sequence[str],
+    level: int,
+    graph: SynonymyGraph,
+    language: str,
+    caller: str,
+    minimum: int,
+    noun: str,
+) -> Counter[TermNode]:
+    """Check the level, then the terms; then count, for each node, the
+    terms that support it.  Each absent term gets a SeedNotInGraphWarning
+    attributed to the code that called syn_extract or syn_eval."""
+    if level < 1:
+        raise ValueError(f"level must be a positive integer, got {level}")
     if len(terms) < minimum:
-        raise EmptyInput(f"{what} requires at least {minimum} term(s)")
+        raise EmptyInput(f"{caller} requires at least {minimum} term(s)")
     duplicates = {t for t, n in Counter(terms).items() if n > 1}
     if duplicates:
         raise DuplicateSeed(f"duplicated term(s): {sorted(duplicates)}")
-
-
-def _resolve_seeds(
-    seeds: Sequence[str], language: str, graph: SynonymyGraph
-) -> list[TermNode]:
-    present = []
-    for surface in seeds:
+    support: Counter[TermNode] = Counter()
+    for surface in terms:
         node = TermNode(surface, language)
         if node in graph:
-            present.append(node)
+            support.update(_cycle_members(graph, node, 2 * level))
         else:
             warnings.warn(
-                f"seed {surface!r} ({language}) is not in the graph",
+                f"{noun} {surface!r} ({language}) is not in the graph",
                 SeedNotInGraphWarning,
                 stacklevel=3,
             )
-    return present
+    return support
 
 
 def syn_extract(
@@ -187,26 +193,16 @@ def syn_extract(
     graph: SynonymyGraph,
     language: str = "ar",
 ) -> list[FuzzyResult]:
-    """Candidates sharing the seed language that cycle with the seeds.
-
-    score(c) = |{seeds s : a simple cycle through s of length <= 2*level
-    contains c}| / |seeds|; zero-score candidates are omitted; ordering is
-    score descending then surface ascending.  Absent seeds produce a
-    SeedNotInGraphWarning and support nothing (they still count in the
-    denominator).
-    """
-    if level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
-    _validate_terms(seeds, 1, "syn_extract")
+    """Candidates sharing the seed language that cycle with the seeds,
+    ordered by score descending then surface ascending; zero-score
+    candidates are omitted.  An absent seed warns and still counts in the
+    denominator."""
+    support = _seed_support(seeds, level, graph, language, "syn_extract", 1, "seed")
     seed_nodes = {TermNode(s, language) for s in seeds}
-    support: dict[TermNode, int] = {}
-    for seed in _resolve_seeds(seeds, language, graph):
-        for member in _cycle_members(graph, seed, 2 * level):
-            if member.language == language and member not in seed_nodes:
-                support[member] = support.get(member, 0) + 1
     results = [
         FuzzyResult(term, Fraction(count, len(seeds)))
         for term, count in support.items()
+        if term.language == language and term not in seed_nodes
     ]
     results.sort(key=lambda r: (-r.score, r.term.surface))
     return results
@@ -220,25 +216,8 @@ def syn_eval(
 ) -> list[FuzzyResult]:
     """Score each input term against the remaining terms as seeds; every
     input term is returned (scores may be zero)."""
-    if level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
-    _validate_terms(terms, 2, "syn_eval")
-    term_nodes = [TermNode(t, language) for t in terms]
-    members_of: dict[TermNode, set[TermNode]] = {}
-    for surface, node in zip(terms, term_nodes):
-        if node in graph:
-            members_of[node] = _cycle_members(graph, node, 2 * level)
-        else:
-            warnings.warn(
-                f"term {surface!r} ({language}) is not in the graph",
-                SeedNotInGraphWarning,
-                stacklevel=2,
-            )
-            members_of[node] = set()
-    results = []
-    for node in term_nodes:
-        others = [n for n in term_nodes if n != node]
-        supporting = sum(1 for seed in others if node in members_of[seed])
-        results.append(FuzzyResult(node, Fraction(supporting, len(others))))
+    support = _seed_support(terms, level, graph, language, "syn_eval", 2, "term")
+    nodes = [TermNode(t, language) for t in terms]
+    results = [FuzzyResult(n, Fraction(support[n], len(terms) - 1)) for n in nodes]
     results.sort(key=lambda r: (-r.score, r.term.surface))
     return results

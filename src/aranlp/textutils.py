@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptySeparatorSet, InvalidThreshold
+from .errors import EmptySeparatorSet, InvalidThreshold, UnknownSeparatorClass
 from .script import ar_strip, decompose
 
 IDENTICAL = "identical"
@@ -44,7 +44,7 @@ class SplitConfig:
     def __post_init__(self):
         unknown = self.classes - SEPARATOR_CLASSES.keys()
         if unknown:
-            raise ValueError(f"unknown separator classes: {sorted(unknown)}")
+            raise UnknownSeparatorClass(f"unknown separator classes: {sorted(unknown)}")
         if not self.classes and not self.custom:
             raise EmptySeparatorSet("at least one separator must be selected")
 

@@ -68,10 +68,6 @@ class SenseInventory:
     multiword: dict[str, tuple[Gloss, ...]]
     singleword: dict[str, tuple[Gloss, ...]]
 
-    @property
-    def size(self) -> int:
-        return len(self.multiword) + len(self.singleword)
-
 
 def load_inventory(source: str | Path) -> SenseInventory:
     """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text."""

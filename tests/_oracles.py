@@ -9,13 +9,15 @@ import math
 import random
 import re
 import unicodedata
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 from aranlp import morphology, script
 from aranlp.ner import project_flat
 from aranlp.textutils import INCOMPATIBLE, JaccardReport, match_words
-from aranlp.synonymy import TermNode, graph_from_pairs
+from aranlp.errors import DuplicateSeed, EmptyInput, SeedNotInGraphWarning
+from aranlp.synonymy import FuzzyResult, TermNode, _cycle_members, graph_from_pairs
 
 VOWEL_CODEPOINTS = "ًٌٍَُِْ"
 LETTERS = sorted(script.ARABIC_LETTERS)
@@ -179,6 +181,39 @@ def oracle_cycle_scores(nodes, edges, seeds, level, language):
             if node.language == language and node not in seed_nodes:
                 support[node] = support.get(node, 0) + 1
     return {node: Fraction(count, len(seeds)) for node, count in support.items()}
+
+
+def reference_syn_eval(terms, level, graph, language="ar"):
+    """syn_eval as it was before the seed-support count: each term's member
+    set is searched once, then every term is scored by a pass over the
+    other terms.  Its term validation is inlined; absent terms warn with
+    the caller of this function as the warning's location."""
+    if level < 1:
+        raise ValueError(f"level must be a positive integer, got {level}")
+    if len(terms) < 2:
+        raise EmptyInput("syn_eval requires at least 2 term(s)")
+    duplicates = {t for t, n in Counter(terms).items() if n > 1}
+    if duplicates:
+        raise DuplicateSeed(f"duplicated term(s): {sorted(duplicates)}")
+    term_nodes = [TermNode(t, language) for t in terms]
+    members_of: dict[TermNode, set[TermNode]] = {}
+    for surface, node in zip(terms, term_nodes):
+        if node in graph:
+            members_of[node] = _cycle_members(graph, node, 2 * level)
+        else:
+            warnings.warn(
+                f"term {surface!r} ({language}) is not in the graph",
+                SeedNotInGraphWarning,
+                stacklevel=2,
+            )
+            members_of[node] = set()
+    results = []
+    for node in term_nodes:
+        others = [n for n in term_nodes if n != node]
+        supporting = sum(1 for seed in others if node in members_of[seed])
+        results.append(FuzzyResult(node, Fraction(supporting, len(others))))
+    results.sort(key=lambda r: (-r.score, r.term.surface))
+    return results
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 8, languages=("ar", "en")):

@@ -502,3 +502,13 @@ class TestResourceAndEvalCommands:
         assert captured.out == ""
         assert captured.err.startswith("aranlp: error: pair 2: ")
         assert captured.err.count("\n") == 1
+
+    def test_eval_rejects_weights_summing_past_the_float_range(self, monkeypatch, capsys):
+        feed(monkeypatch, "0.5\t1e308\n0.5\t1e308\n")
+        assert dispatch(["eval"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "aranlp: error: the weights sum to inf and the weighted scores to 1e+308; "
+            "both sums must be finite\n"
+        )

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -46,6 +47,27 @@ class TestMicroAverage:
             micro_average([(0.25, 3), pair])
         assert isinstance(err.value, AranlpError) and isinstance(err.value, ValueError)
         assert str(err.value).startswith("pair 2: ")
+
+    @pytest.mark.parametrize("scores, message", [
+        ([(0.5, 1e308), (0.5, 1e308)],
+         "the weights sum to inf and the weighted scores to 1e+308; both sums must be finite"),
+        ([(1e300, 1e300)],
+         "the weights sum to 1e+300 and the weighted scores to inf; both sums must be finite"),
+    ], ids=["weights", "weighted-scores"])
+    def test_sum_past_the_float_range_is_a_typed_error(self, scores, message):
+        with pytest.raises(InvalidWeightedScore) as err:
+            micro_average(scores)
+        assert str(err.value) == message
+
+    def test_finite_sums_give_the_plain_weighted_mean(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            scores = [
+                (rng.uniform(-2.0, 2.0), rng.choice((rng.uniform(1e-9, 1e9), rng.randint(1, 50))))
+                for _ in range(rng.randint(1, 8))
+            ]
+            expected = sum(s * w for s, w in scores) / sum(w for _, w in scores)
+            assert micro_average(scores) == expected
 
 
 class TestRendering:

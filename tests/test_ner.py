@@ -14,6 +14,7 @@ from aranlp.ner import (
     decode_matrix,
     default_entity_types,
     format_span_file,
+    load_entity_types,
     load_gazetteer,
     prf_from_counts,
     project_flat,
@@ -348,6 +349,12 @@ class TestInterfaces:
         assert len(types) == 21
         for required in ("PERS", "ORG", "LOC", "GPE"):
             assert required in types
+
+    def test_type_list_file(self, tmp_path):
+        path = tmp_path / "types.txt"
+        path.write_text("# types\n\n PERS \nORG\n\nLOC\n", encoding="utf-8")
+        assert load_entity_types(path) == ("PERS", "ORG", "LOC")
+        assert load_entity_types(str(path)) == ("PERS", "ORG", "LOC")
 
     def test_unique_nonempty_enforced(self):
         with pytest.raises(ValueError):

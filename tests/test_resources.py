@@ -173,6 +173,8 @@ MALFORMED_ROWS = [
      "مصر\tGPE\tX\n", 3, "expected 2 tab-separated fields, got 3"),
     ("default_entity_types", _packaged(ner.default_entity_types),
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
+    ("load_entity_types", _from_path(ner.load_entity_types),
+     "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("read_span_file", _from_path(ner.read_span_file),
      "0\t1\tPERS\n0\t1\n", 4, "expected 3 tab-separated fields, got 2"),
     ("load_inventory", _from_path(wsd.load_inventory),

@@ -1,9 +1,12 @@
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from aranlp.errors import (
+    AranlpError,
     DuplicateSeed,
     EmptyInput,
     MalformedRow,
@@ -24,6 +27,7 @@ from _oracles import (
     digraph_as_graph as as_graph,
     oracle_cycle_scores as oracle_scores,
     random_digraph as random_graph,
+    reference_syn_eval,
 )
 
 
@@ -233,3 +237,91 @@ class TestSynEval:
     def test_percent_rendering(self):
         result = FuzzyResult(TermNode("x", "ar"), Fraction(1, 2))
         assert result.percent == "50.00%"
+
+
+def _outcome(call, *args):
+    """The call's result, or the type and message of what it raised, plus
+    the text, category and file of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call(*args)
+        except (AranlpError, ValueError) as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(str(w.message), w.category, w.filename) for w in caught]
+
+
+def _random_query(rng, nodes):
+    """Surfaces from the graph and absent ones in one language, sometimes
+    with a repeat, at level 0 (invalid) to 3."""
+    pool = [n.surface for n in nodes] + ["absent1", "absent2"]
+    terms = rng.sample(pool, rng.randint(1, min(5, len(pool))))
+    if rng.random() < 0.1:
+        terms.append(rng.choice(terms))
+    level = 0 if rng.random() < 0.05 else rng.randint(1, 3)
+    return terms, level, rng.choice(("ar", "en"))
+
+
+class TestSeedSupport:
+    """syn_extract and syn_eval share one count; both keep the results,
+    errors and warnings of the code they replace."""
+
+    def test_syn_eval_matches_the_all_pairs_reference(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(400):
+            nodes, edges = random_graph(rng)
+            graph = as_graph(nodes, edges)
+            terms, level, language = _random_query(rng, nodes)
+            mine, mine_warnings = _outcome(syn_eval, terms, level, graph, language)
+            reference, reference_warnings = _outcome(
+                reference_syn_eval, terms, level, graph, language
+            )
+            assert mine == reference
+            assert mine_warnings == reference_warnings
+            assert all(
+                text.startswith("term ") and category is SeedNotInGraphWarning
+                and filename == __file__
+                for text, category, filename in mine_warnings
+            )
+            if isinstance(mine, tuple):
+                seen[mine[0]] += 1
+            else:
+                seen[f"level {level}"] += 1
+                seen["positive"] += any(r.score > 0 for r in mine)
+            seen["warned"] += bool(mine_warnings)
+        assert all(seen[key] for key in (
+            ValueError, EmptyInput, DuplicateSeed, "level 1", "level 2", "level 3",
+            "positive", "warned",
+        )), seen
+
+    def test_syn_extract_matches_the_cycle_oracle(self):
+        rng = random.Random(67)
+        seen = Counter()
+        for _ in range(300):
+            nodes, edges = random_graph(rng, max_nodes=6)
+            graph = as_graph(nodes, edges)
+            terms, level, language = _random_query(rng, nodes)
+            mine, mine_warnings = _outcome(syn_extract, terms, level, graph, language)
+            duplicates = sorted(t for t, n in Counter(terms).items() if n > 1)
+            if level < 1:
+                assert mine == (ValueError, f"level must be a positive integer, got {level}")
+            elif duplicates:
+                assert mine == (DuplicateSeed, f"duplicated term(s): {duplicates}")
+            else:
+                seed_nodes = [TermNode(t, language) for t in terms]
+                expected = oracle_scores(nodes, edges, seed_nodes, level, language)
+                assert mine == [
+                    FuzzyResult(node, score) for node, score
+                    in sorted(expected.items(), key=lambda item: (-item[1], item[0].surface))
+                ]
+                assert mine_warnings == [
+                    (f"seed {t!r} ({language}) is not in the graph", SeedNotInGraphWarning,
+                     __file__)
+                    for t in terms if TermNode(t, language) not in nodes
+                ]
+                seen["positive"] += bool(mine)
+                seen["warned"] += bool(mine_warnings)
+                continue
+            assert mine_warnings == []
+        assert seen["positive"] and seen["warned"], seen

@@ -7,7 +7,13 @@ from collections import Counter
 import pytest
 
 from aranlp import textutils
-from aranlp.errors import EmptySeparatorSet, InvalidThreshold, NonArabicLetter
+from aranlp.errors import (
+    AranlpError,
+    EmptySeparatorSet,
+    InvalidThreshold,
+    NonArabicLetter,
+    UnknownSeparatorClass,
+)
 from aranlp.script import SHADDAH, TATWEEL, ar_strip, decompose
 from aranlp.textutils import (
     COMPATIBLE,
@@ -97,6 +103,13 @@ class TestSplitSentences:
     def test_empty_separator_set(self):
         with pytest.raises(EmptySeparatorSet):
             SplitConfig(classes=frozenset(), custom=frozenset())
+
+    @pytest.mark.parametrize("base", [AranlpError, ValueError])
+    def test_unknown_separator_class_is_a_typed_value_error(self, base):
+        with pytest.raises(base) as err:
+            SplitConfig(classes=frozenset({"period", "bogus"}))
+        assert type(err.value) is UnknownSeparatorClass
+        assert str(err.value) == "unknown separator classes: ['bogus']"
 
     def test_empty_segments_dropped(self):
         config = SplitConfig(classes=frozenset({"period"}))
