@@ -1,7 +1,7 @@
 """aranlp: Arabic NLP toolkit.
 
 Dictionary-based morphology tagging, per-type IOB entity decoding with
-flat/nested span assembly, a six-phase word sense disambiguation
+flat/nested span assembly, a five-phase word sense disambiguation
 pipeline, embedding-based semantic relatedness, cycle-based synonym
 extraction, and diacritic-aware text utilities.  Every component is
 available both as an API (this package) and as a subcommand of the

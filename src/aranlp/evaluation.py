@@ -11,23 +11,33 @@ from dataclasses import dataclass
 from .errors import EmptyInput, InvalidWeightedScore
 
 
+def _finite(value: float) -> bool:
+    """math.isfinite, but False (not OverflowError) for an integer beyond
+    the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def micro_average(scores: Sequence[tuple[float, float]]) -> float:
     """Weighted mean of (score, weight) pairs.  Scores must be finite and
     weights positive and finite; the first pair that is not raises
-    InvalidWeightedScore, naming the pair by its 1-based position.  Finite
-    pairs whose weights or weighted scores sum past the float range raise
+    InvalidWeightedScore, naming the pair by its 1-based position; an
+    integer beyond the float range is not finite.  Finite pairs whose
+    weights or weighted scores sum past the float range raise
     InvalidWeightedScore too."""
     if not scores:
         raise EmptyInput("micro_average needs at least one (score, weight) pair")
     for number, (score, weight) in enumerate(scores, start=1):
-        if not (math.isfinite(score) and math.isfinite(weight) and weight > 0):
+        if not (_finite(score) and _finite(weight) and weight > 0):
             raise InvalidWeightedScore(
                 f"pair {number}: scores must be finite and weights positive and finite, "
                 f"got ({score}, {weight})"
             )
     total_weight = sum(weight for _, weight in scores)
     weighted_sum = sum(score * weight for score, weight in scores)
-    if not (math.isfinite(total_weight) and math.isfinite(weighted_sum)):
+    if not (_finite(total_weight) and _finite(weighted_sum)):
         raise InvalidWeightedScore(
             f"the weights sum to {total_weight} and the weighted scores to "
             f"{weighted_sum}; both sums must be finite"

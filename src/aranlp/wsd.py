@@ -1,18 +1,18 @@
-"""End-to-end semantic analysis: n-gram generation, lemmatization,
-multi-word sense lookup, entity masking, single-word sense lookup, and
+"""End-to-end semantic analysis: lemmatization, multi-word sense lookup
+over lemma n-grams, entity masking, single-word sense lookup, and
 verification-based sense selection.
 
 Pipeline order per sentence:
 
-1. generate candidate n-grams (2 <= n <= 5) over the whitespace tokens;
-2. lemmatize every token with the morphology dictionary;
-3. accept multi-word spans whose lemma string keys the multi-word
-   inventory, scanning n = 5 down to 2, left to right within an n;
+1. lemmatize every whitespace token with the morphology dictionary;
+2. scan the lemma n-grams (2 <= n <= 5), n = 5 down to 2 and left to
+   right within an n, and accept each whose lemma string keys the
+   multi-word inventory and touches no token an earlier hit consumed;
    accepted spans consume their tokens;
-4. tag entities on the full sentence, flatten overlaps, and crop entity
+3. tag entities on the full sentence, flatten overlaps, and crop entity
    spans to tokens not already consumed;
-5. look up remaining tokens as single words in the single-word inventory;
-6. score every (context, gloss) pair with the verifier and keep the gloss
+4. look up remaining tokens as single words in the single-word inventory;
+5. score every (context, gloss) pair with the verifier and keep the gloss
    with the highest positive probability (ties: smallest gloss_id).
 
 Tokens with no glosses and no entity tag are omitted from the output.
@@ -45,7 +45,7 @@ KINDS = (KIND_ENTITY, KIND_MULTIWORD, KIND_SINGLEWORD)
 MAX_NGRAM = 5
 PROBABILITY_TOLERANCE = 1e-9
 
-# Most tokens an OverlapVerifier's token -> lemma memo holds before it is
+# Most tokens a _Lemmatizer's token -> lemma memo holds before it is
 # cleared.
 _LEMMA_MEMO_LIMIT = 65_536
 
@@ -105,6 +105,8 @@ class NgramSpan:
     lemmas: tuple[str, ...]
 
     def __post_init__(self):
+        if self.start < 0:
+            raise ValueError(f"invalid span ({self.start}, {self.end})")
         if not 1 <= self.n <= MAX_NGRAM:
             raise ValueError(f"n must be 1..{MAX_NGRAM}, got {self.n}")
         if len(self.lemmas) != self.n:
@@ -132,6 +134,28 @@ def lemmatize_tokens(tokens: Sequence[str], dictionary: MorphDictionary) -> list
     """One lemma per token via dictionary lookup; out-of-vocabulary tokens
     keep their surface form."""
     return [_lemma(token, dictionary) for token in tokens]
+
+
+class _Lemmatizer:
+    """lemmatize_tokens over one dictionary with a token -> lemma memo; the
+    memo holds at most _LEMMA_MEMO_LIMIT (65,536) tokens and is cleared
+    when full."""
+
+    def __init__(self, dictionary: MorphDictionary):
+        self.dictionary = dictionary
+        self.memo: dict[str, str] = {}
+
+    def lemmas(self, tokens: Sequence[str]) -> list[str]:
+        memo = self.memo
+        found = []
+        for token in tokens:
+            lemma = memo.get(token)
+            if lemma is None:
+                if len(memo) >= _LEMMA_MEMO_LIMIT:
+                    memo.clear()
+                lemma = memo[token] = _lemma(token, self.dictionary)
+            found.append(lemma)
+        return found
 
 
 def generate_ngrams(
@@ -168,6 +192,27 @@ def lookup_multiword(
             continue
         accepted.append((span, glosses))
         claimed.update(range(span.start, span.end))
+    accepted.sort(key=lambda item: item[0].start)
+    return accepted
+
+
+def _scan_multiword(
+    lemmas: Sequence[str],
+    inventory: SenseInventory,
+) -> list[tuple[NgramSpan, tuple[Gloss, ...]]]:
+    """lookup_multiword(generate_ngrams(lemmas, lemmas), inventory), with
+    a span built only for a hit."""
+    accepted: list[tuple[NgramSpan, tuple[Gloss, ...]]] = []
+    claimed: set[int] = set()
+    count = len(lemmas)
+    for n in range(min(MAX_NGRAM, count), 1, -1):
+        for start in range(count - n + 1):
+            end = start + n
+            glosses = inventory.multiword.get(" ".join(lemmas[start:end]))
+            if glosses is None or not claimed.isdisjoint(range(start, end)):
+                continue
+            accepted.append((NgramSpan(start, end, tuple(lemmas[start:end])), glosses))
+            claimed.update(range(start, end))
     accepted.sort(key=lambda item: item[0].start)
     return accepted
 
@@ -221,37 +266,28 @@ class OverlapVerifier:
     |gloss lemmas|, so a gloss sharing nothing with the context scores the
     smoothing floor eps and a fully covered gloss scores 1 - eps.
 
-    Each instance memoizes token -> lemma, so a word repeated across
-    glosses and sentences is analyzed once; the memo holds at most
-    _LEMMA_MEMO_LIMIT (65,536) tokens and is cleared when full.  The
-    lemma set of the last context is kept (one entry), because
-    disambiguate scores all glosses of a sentence in a row.
+    Each instance owns one _Lemmatizer, whose bounded token -> lemma memo
+    lives as long as the verifier, so a word repeated across glosses and
+    sentences is analyzed once.  disambiguate lemmatizes its sentence
+    through the same lemmatizer when the verifier's dictionary is its
+    own, so each sentence token is analyzed once for both.  The lemma
+    set of the last context is kept (one entry), because disambiguate
+    scores all glosses of a sentence in a row.
     """
 
     def __init__(self, dictionary: MorphDictionary, eps: float = 0.01):
         self.dictionary = dictionary
         self.eps = eps
-        self._lemma_memo: dict[str, str] = {}
+        self._lemmatizer = _Lemmatizer(dictionary)
         # (context, its lemma set); the empty context has no lemmas.
         self._last_context: tuple[str, set[str]] = ("", set())
 
-    def _lemma_set(self, text: str) -> set[str]:
-        memo = self._lemma_memo
-        lemmas = set()
-        for token in text.split():
-            lemma = memo.get(token)
-            if lemma is None:
-                if len(memo) >= _LEMMA_MEMO_LIMIT:
-                    memo.clear()
-                lemma = memo[token] = _lemma(token, self.dictionary)
-            lemmas.add(lemma)
-        return lemmas
-
     def score(self, context: str, gloss: Gloss) -> float:
+        lemmas = self._lemmatizer.lemmas
         if self._last_context[0] != context:
-            self._last_context = (context, self._lemma_set(context))
+            self._last_context = (context, set(lemmas(context.split())))
         context_lemmas = self._last_context[1]
-        gloss_lemmas = self._lemma_set(gloss.text)
+        gloss_lemmas = set(lemmas(gloss.text.split()))
         ratio = (
             len(context_lemmas & gloss_lemmas) / len(gloss_lemmas)
             if gloss_lemmas
@@ -321,10 +357,14 @@ def disambiguate(
     tokens = sentence.split()
     if not tokens:
         return []
-    lemmas = lemmatize_tokens(tokens, dictionary)
+    # The verifier's lemmatizer (also behind an attribute-forwarding
+    # proxy) when it is over this dictionary, else one for this call.
+    lemmatizer = getattr(verifier, "_lemmatizer", None)
+    if not (isinstance(lemmatizer, _Lemmatizer) and lemmatizer.dictionary is dictionary):
+        lemmatizer = _Lemmatizer(dictionary)
+    lemmas = lemmatizer.lemmas(tokens)
 
-    ngrams = generate_ngrams(tokens, lemmas)
-    multiword_hits = lookup_multiword(ngrams, inventory)
+    multiword_hits = _scan_multiword(lemmas, inventory)
     claimed: set[int] = set()
     for span, _ in multiword_hits:
         claimed.update(range(span.start, span.end))

@@ -14,7 +14,19 @@ from collections import Counter
 from fractions import Fraction
 
 from aranlp import morphology, script
-from aranlp.ner import project_flat
+from aranlp.ner import decode_matrix, project_flat, run_tagger
+from aranlp.wsd import (
+    KIND_ENTITY,
+    KIND_MULTIWORD,
+    KIND_SINGLEWORD,
+    AnnotatedSpan,
+    _crop_to_unclaimed,
+    generate_ngrams,
+    lemmatize_tokens,
+    lookup_multiword,
+    select_sense,
+    verify,
+)
 from aranlp.textutils import INCOMPATIBLE, JaccardReport, match_words
 from aranlp.errors import DuplicateSeed, EmptyInput, SeedNotInGraphWarning
 from aranlp.synonymy import FuzzyResult, TermNode, _cycle_members, graph_from_pairs
@@ -125,6 +137,51 @@ def reference_overlap_score(context, gloss_text, dictionary, eps) -> float:
     context_lemmas, gloss_lemmas = lemma_set(context), lemma_set(gloss_text)
     covered = len(gloss_lemmas & context_lemmas) / len(gloss_lemmas) if gloss_lemmas else 0.0
     return eps + (1.0 - 2.0 * eps) * covered
+
+
+def reference_disambiguate(sentence, inventory, ner_tagger, verifier, dictionary):
+    """`wsd.disambiguate` as it was before the direct multi-word scan and
+    the shared lemma memo: every token lemmatized without a memo, every
+    2..5-gram built as an NgramSpan and handed to lookup_multiword."""
+    tokens = sentence.split()
+    if not tokens:
+        return []
+    lemmas = lemmatize_tokens(tokens, dictionary)
+
+    ngrams = generate_ngrams(tokens, lemmas)
+    multiword_hits = lookup_multiword(ngrams, inventory)
+    claimed: set[int] = set()
+    for span, _ in multiword_hits:
+        claimed.update(range(span.start, span.end))
+
+    matrix = run_tagger(ner_tagger, tokens)
+    entity_spans = _crop_to_unclaimed(
+        project_flat(decode_matrix(matrix), matrix.types), claimed
+    )
+    for span in entity_spans:
+        claimed.update(range(span.start, span.end))
+
+    single_hits = [
+        (i, inventory.singleword[lemmas[i]])
+        for i in range(len(tokens))
+        if i not in claimed and lemmas[i] in inventory.singleword
+    ]
+
+    annotations = [
+        AnnotatedSpan(s.start, s.end, KIND_ENTITY, s.type) for s in entity_spans
+    ]
+    for span, glosses in multiword_hits:
+        pairs = [verify(sentence, g, verifier) for g in glosses]
+        annotations.append(
+            AnnotatedSpan(span.start, span.end, KIND_MULTIWORD, select_sense(pairs).gloss_id)
+        )
+    for index, glosses in single_hits:
+        pairs = [verify(sentence, g, verifier) for g in glosses]
+        annotations.append(
+            AnnotatedSpan(index, index + 1, KIND_SINGLEWORD, select_sense(pairs).gloss_id)
+        )
+    annotations.sort(key=lambda a: (a.start, a.end, a.kind))
+    return annotations
 
 
 def spans_overlap(a, b) -> bool:

@@ -389,6 +389,22 @@ class TestWsdCommands:
         assert scores == {c: wsd_accuracy(corpus.gold, pred, c) for c in CATEGORIES}
         assert scores["overall"] < 1.0
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "wsd_annotate_expected.txt"),
+        ("records", "wsd_annotate_expected.jsonl"),
+    ])
+    def test_annotate_fixture_output_is_byte_identical(self, fmt, expected, capsys):
+        # The expected files hold `wsd annotate` output recorded on these
+        # fixtures; a pipeline change that moves any output byte fails here.
+        assert dispatch([
+            "wsd", "annotate", "--inventory", INV, "--dict", MORPH, "--gazetteer", GAZ,
+            "--file", "tests/data/wsd_sentences.txt", "--format", fmt,
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open(f"tests/data/{expected}", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
+
     def test_annotate_paper_style_sentence(self, monkeypatch, capsys):
         feed(monkeypatch, EXAMPLE + "\n")
         assert dispatch([

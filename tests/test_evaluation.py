@@ -59,6 +59,20 @@ class TestMicroAverage:
             micro_average(scores)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("pair", [(0.5, 10**400), (10**400, 1)], ids=["weight", "score"])
+    def test_integer_beyond_the_float_range_is_a_typed_error(self, pair):
+        with pytest.raises(InvalidWeightedScore) as err:
+            micro_average([(0.25, 3), pair])
+        assert str(err.value) == (
+            "pair 2: scores must be finite and weights positive and finite, "
+            f"got ({pair[0]}, {pair[1]})"
+        )
+
+    def test_integer_weights_summing_past_the_float_range_are_a_typed_error(self):
+        weight = int(1.5e308)
+        with pytest.raises(InvalidWeightedScore, match="^the weights sum to 3"):
+            micro_average([(0.5, weight), (0.5, weight)])
+
     def test_finite_sums_give_the_plain_weighted_mean(self):
         rng = random.Random(17)
         for _ in range(500):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,14 @@ from aranlp.errors import (
     MisalignedCorpus,
     VerifierFailure,
 )
-from aranlp.morphology import SOURCE_EXACT, SOURCE_OOV, SOURCE_STRIPPED, analyze
-from aranlp.ner import GazetteerTagger
+from aranlp.morphology import (
+    SOURCE_EXACT,
+    SOURCE_OOV,
+    SOURCE_STRIPPED,
+    analyze,
+    load_dictionary,
+)
+from aranlp.ner import GazetteerTagger, decode_matrix, project_flat, run_tagger
 from aranlp.wsd import (
     CATEGORIES,
     KIND_BY_CATEGORY,
@@ -44,6 +51,7 @@ from _oracles import (
     LETTERS,
     oracle_assignment,
     random_token,
+    reference_disambiguate,
     reference_overlap_score,
     spans_overlap,
 )
@@ -99,6 +107,11 @@ class TestGenerateNgrams:
         spans = generate_ngrams(["a", "b"], ["LA", "LB"])
         assert spans[0].lemmas == ("LA", "LB")
         assert spans[0].key == "LA LB"
+
+    def test_span_start_must_not_be_negative(self):
+        with pytest.raises(ValueError, match=r"invalid span \(-1, 1\)"):
+            wsd.NgramSpan(-1, 1, ("a", "b"))
+        assert wsd.NgramSpan(0, 2, ("a", "b")).n == 2
 
 
 class TestLookupMultiword:
@@ -160,6 +173,44 @@ class TestLookupMultiword:
             assert {(s.start, s.end) for s, _ in hits} == oracle_assignment(
                 [tuple(span) for span in chosen]
             )
+
+
+class TestScanMultiword:
+    def test_equals_lookup_over_generated_ngrams(self):
+        rng = random.Random(41)
+        alphabet = "abcde"
+        lengths, hit_counts, blocked = set(), Counter(), 0
+        for _ in range(3000):
+            lemmas = [rng.choice(alphabet) for _ in range(rng.randint(0, 9))]
+            keys = set()
+            for _ in range(rng.randint(0, 4)):
+                n = rng.randint(2, 5)
+                if n <= len(lemmas) and rng.random() < 0.8:
+                    # A window of this sentence and, nested in it, its
+                    # narrower windows, so hits overlap across widths.
+                    start = rng.randint(0, len(lemmas) - n)
+                    window = lemmas[start:start + n]
+                    for width in range(2, n + 1):
+                        offset = rng.randint(0, n - width)
+                        keys.add(" ".join(window[offset:offset + width]))
+                else:
+                    keys.add(" ".join(rng.choice(alphabet) for _ in range(n)))
+            inv = SenseInventory({k: (Gloss(f"g{i}", "x"),) for i, k in enumerate(sorted(keys))}, {})
+            expected = lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
+            assert wsd._scan_multiword(lemmas, inv) == expected, (lemmas, keys)
+            lengths.add(len(lemmas))
+            hit_counts[min(len(expected), 3)] += 1
+            matching = [s for s in generate_ngrams(lemmas, lemmas) if s.key in keys]
+            blocked += len(matching) > len(expected)
+        assert set(range(7)) <= lengths
+        assert set(hit_counts) == {0, 1, 2, 3}
+        # Planted keys that lost to an overlapping hit were skipped.
+        assert blocked > 100
+
+    def test_sentence_shorter_than_two_tokens(self):
+        inv = SenseInventory({"a b": (Gloss("g", "x"),)}, {})
+        assert wsd._scan_multiword([], inv) == []
+        assert wsd._scan_multiword(["a"], inv) == []
 
 
 class TestVerification:
@@ -246,22 +297,47 @@ class TestOverlapVerifierCaches:
         assert {0.01, 0.99, 0.125, 0.875} <= scores
         assert len(scores) > 8
 
-    def test_memo_is_bounded(self, morph_dict):
+    def test_memo_is_bounded(self, morph_dict, inventory, gazetteer):
         limit = wsd._LEMMA_MEMO_LIMIT
         assert limit == 65_536
         fresh = ["".join(p) for p in itertools.islice(itertools.product(LETTERS, repeat=4), limit + 1)]
         known = sorted(morph_dict.entries)
         context = " ".join(known[:4] + fresh[:2])
         verifier = OverlapVerifier(morph_dict)
-        sizes = []
-        for start in range(0, len(fresh), 256):
-            gloss_text = " ".join(fresh[start:start + 256] + known[2:6])
-            expected = reference_overlap_score(context, gloss_text, morph_dict, verifier.eps)
-            assert verifier.score(context, Gloss("g", gloss_text)) == expected
-            sizes.append(len(verifier._lemma_memo))
+        tagger = GazetteerTagger(gazetteer)
+        memo = verifier._lemmatizer.memo
+        sizes, cleared_by = [], set()
+        for step, start in enumerate(range(0, len(fresh), 256)):
+            chunk = fresh[start:start + 256]
+            before = len(memo)
+            if step % 2:
+                # No sense or entity hit: only disambiguate's own
+                # lemmatization can fill the verifier's memo.
+                sentence = " ".join(chunk)
+                assert disambiguate(sentence, inventory, tagger, verifier, morph_dict) == []
+                caller = "disambiguate"
+            else:
+                gloss_text = " ".join(chunk + known[2:6])
+                expected = reference_overlap_score(context, gloss_text, morph_dict, verifier.eps)
+                assert verifier.score(context, Gloss("g", gloss_text)) == expected
+                caller = "score"
+            sizes.append(len(memo))
+            if sizes[-1] < before:
+                cleared_by.add(caller)
+            else:
+                assert set(chunk) <= memo.keys()
         assert max(sizes) <= limit
         # The memo filled up, was cleared and refilled.
         assert sizes[-1] < max(sizes)
+        assert cleared_by == {"disambiguate"}
+        assert verifier._lemmatizer.memo is memo
+        # Both callers keep lemmatizing correctly after the clear.
+        sentence = " ".join(fresh[-3:] + EXAMPLE.split())
+        assert disambiguate(sentence, inventory, tagger, verifier, morph_dict) == (
+            reference_disambiguate(
+                sentence, inventory, tagger, OverlapVerifier(morph_dict), morph_dict
+            )
+        )
 
 
 class TestSelectSense:
@@ -356,6 +432,195 @@ class TestDisambiguate:
                     spans_overlap((single.start, single.end), (s.start, s.end))
                     for s in solid
                 )
+
+
+class _Forwarding:
+    """A verifier proxy that forwards every attribute to its target."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, attr):
+        return getattr(self._target, attr)
+
+
+def _planted_case(morph_dict, inventory, seed=59, sentence_count=400):
+    """Random sentences over the fixture dictionary (exact, stripped and
+    out-of-vocabulary tokens) and the fixture inventory plus planted
+    multi-word keys of widths 2..5 that overlap and nest."""
+    rng = random.Random(seed)
+    surfaces = sorted(morph_dict.entries)
+    diacritized = sorted({s.lemma for group in morph_dict.entries.values() for s in group})
+    unknown = [random_token(rng, 4) for _ in range(4)]
+    vocabulary = surfaces + diacritized + unknown
+    # Keys that cross or cover the fixture's entity names.
+    example = EXAMPLE.split()
+    names = [example[0:2], example[7:8]]
+    crossing = [example[1:3], example[6:8], example[0:3]]
+    phrases = list(crossing)
+    for _ in range(12):
+        window = [rng.choice(vocabulary) for _ in range(rng.randint(2, 5))]
+        phrases.append(window)
+        for width in range(2, len(window)):
+            offset = rng.randint(0, len(window) - width)
+            phrases.append(window[offset:offset + width])
+    multiword = dict(inventory.multiword)
+    for number, phrase in enumerate(phrases):
+        key = " ".join(lemmatize_tokens(phrase, morph_dict))
+        glosses = tuple(
+            Gloss(f"p{number}-{k}", " ".join(rng.sample(vocabulary, rng.randint(1, 4))))
+            for k in range(rng.randint(1, 3))
+        )
+        multiword.setdefault(key, glosses)
+    sentences = []
+    for _ in range(sentence_count):
+        tokens = []
+        for _ in range(rng.randint(0, 4)):
+            draw = rng.random()
+            if draw < 0.15:
+                tokens.extend(rng.choice(names))
+            elif draw < 0.3:
+                tokens.extend(rng.choice(crossing))
+            elif draw < 0.6:
+                tokens.extend(rng.choice(phrases))
+            else:
+                tokens.extend(rng.choice(vocabulary) for _ in range(rng.randint(1, 3)))
+        sentences.append(" ".join(tokens))
+    return SenseInventory(multiword, dict(inventory.singleword)), sentences
+
+
+def _rebuilt(morph_dict, lemma_prefix=""):
+    """Another dictionary object with the fixture's rows, each lemma
+    prefixed with lemma_prefix."""
+    rows = [
+        f"{wordform}\t{lemma_prefix}{s.lemma}\t{s.pos}\t{s.root}\t{s.frequency}"
+        for wordform, solutions in morph_dict.entries.items()
+        for s in solutions
+    ]
+    return load_dictionary(rows, version=morph_dict.version)
+
+
+class TestDisambiguateEquivalence:
+    """disambiguate against the pipeline it replaced
+    (`_oracles.reference_disambiguate`), compared with exact ==."""
+
+    def test_planted_case_covers_overlaps_conflicts_and_oov(
+        self, morph_dict, inventory, gazetteer
+    ):
+        planted, sentences = _planted_case(morph_dict, inventory)
+        tagger = GazetteerTagger(gazetteer)
+        widths_overlap = conflict = oov = lengths = 0
+        for sentence in sentences:
+            tokens = sentence.split()
+            lemmas = lemmatize_tokens(tokens, morph_dict)
+            keyed = [s for s in generate_ngrams(tokens, lemmas) if s.key in planted.multiword]
+            widths_overlap += any(
+                a.n != b.n and spans_overlap((a.start, a.end), (b.start, b.end))
+                for a, b in itertools.combinations(keyed, 2)
+            )
+            hits = lookup_multiword(generate_ngrams(tokens, lemmas), planted)
+            matrix = run_tagger(tagger, tokens)
+            entities = project_flat(decode_matrix(matrix), matrix.types)
+            conflict += any(
+                spans_overlap((h.start, h.end), (e.start, e.end))
+                for h, _ in hits for e in entities
+            )
+            oov += any(analyze(t, morph_dict).source == SOURCE_OOV for t in tokens)
+            lengths += not tokens
+        assert widths_overlap > 20 and conflict > 20 and oov > 20 and lengths > 0
+
+    @pytest.mark.parametrize("kind", [
+        "overlap", "overlap-other-dictionary", "oracle", "forwarding-proxy",
+    ])
+    def test_equals_the_reference_pipeline(self, kind, morph_dict, inventory, gazetteer):
+        planted, sentences = _planted_case(morph_dict, inventory)
+        other = _rebuilt(morph_dict, lemma_prefix="X")
+        gold = {g.gloss_id for glosses in planted.multiword.values() for g in glosses[::2]}
+
+        def make():
+            return {
+                "overlap": lambda: OverlapVerifier(morph_dict),
+                "overlap-other-dictionary": lambda: OverlapVerifier(other, eps=0.2),
+                "oracle": lambda: OracleVerifier(gold),
+                "forwarding-proxy": lambda: _Forwarding(OverlapVerifier(morph_dict)),
+            }[kind]()
+
+        tagger = GazetteerTagger(gazetteer)
+        verifier, reference = make(), make()
+        for sentence in sentences:
+            expected = reference_disambiguate(sentence, planted, tagger, reference, morph_dict)
+            assert disambiguate(sentence, planted, tagger, verifier, morph_dict) == expected
+        if kind == "overlap-other-dictionary":
+            # disambiguate left the verifier's memo (over another
+            # dictionary) to the verifier alone.
+            memo = verifier._lemmatizer.memo
+            assert memo
+            assert list(memo.values()) == lemmatize_tokens(list(memo), other)
+
+    @pytest.mark.parametrize("verifier_class", ["raises", "out-of-range"])
+    def test_a_failing_verifier_fails_alike(self, verifier_class, morph_dict, inventory,
+                                            gazetteer):
+        class Raising:
+            def score(self, context, gloss):
+                raise RuntimeError(f"no score for {gloss.gloss_id}")
+
+        class OutOfRange:
+            def score(self, context, gloss):
+                return 1.5
+
+        verifier = {"raises": Raising, "out-of-range": OutOfRange}[verifier_class]()
+        planted, sentences = _planted_case(morph_dict, inventory, sentence_count=40)
+        tagger = GazetteerTagger(gazetteer)
+        failures = 0
+        for sentence in sentences:
+            try:
+                expected = reference_disambiguate(sentence, planted, tagger, verifier, morph_dict)
+            except VerifierFailure as exc:
+                with pytest.raises(VerifierFailure) as err:
+                    disambiguate(sentence, planted, tagger, verifier, morph_dict)
+                assert str(err.value) == str(exc)
+                assert repr(err.value.__cause__) == repr(exc.__cause__)
+                failures += 1
+            else:
+                assert disambiguate(sentence, planted, tagger, verifier, morph_dict) == expected
+        assert failures > 10
+
+    def test_each_sentence_token_is_analyzed_once_per_verifier(
+        self, monkeypatch, morph_dict, inventory, gazetteer
+    ):
+        calls = Counter()
+        original = wsd.analyze
+
+        def counting(word, dictionary, *args):
+            calls[word] += 1
+            return original(word, dictionary, *args)
+
+        monkeypatch.setattr(wsd, "analyze", counting)
+        tagger = GazetteerTagger(gazetteer)
+        tokens = EXAMPLE.split()
+
+        def analyzed(verifier):
+            calls.clear()
+            disambiguate(EXAMPLE, inventory, tagger, verifier, morph_dict)
+            return [calls[t] for t in tokens]
+
+        for verifier in (OverlapVerifier(morph_dict), _Forwarding(OverlapVerifier(morph_dict))):
+            assert not verifier._lemmatizer.memo
+            # disambiguate and the verifier share one memo, which lives
+            # as long as the verifier.
+            assert analyzed(verifier) == [1] * len(tokens)
+            assert analyzed(verifier) == [0] * len(tokens)
+        # Another dictionary object, equal or not, gets no shared memo.
+        equal = _rebuilt(morph_dict)
+        assert equal == morph_dict and equal is not morph_dict
+        assert analyzed(OverlapVerifier(equal)) == [2] * len(tokens)
+        # Without a lemmatizer to share, nothing outlives the call: no
+        # lemma state on the dictionary or in the module.
+        state = dict(vars(morph_dict))
+        oracle = OracleVerifier(GOLD_IDS)
+        assert analyzed(oracle) == [1] * len(tokens)
+        assert analyzed(oracle) == [1] * len(tokens)
+        assert vars(morph_dict) == state
 
 
 def _identity_dict():
