@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,6 +21,22 @@ def _finite(value: float) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """str(value), but an int past the interpreter's limit on decimal
+    conversion is named by its digit count, e.g. <int of 5001 digits>."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, numbers.Rational) and value.denominator != 1:
+            return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
+        magnitude = abs(int(value))
+        # 2**(bits - 1) <= magnitude, so this starts at or below the count
+        digits = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))
+        while 10**digits <= magnitude:
+            digits += 1
+        return f"{'-' if value < 0 else ''}<int of {digits} digits>"
+
+
 def micro_average(scores: Sequence[tuple[float, float]]) -> float:
     """Weighted mean of (score, weight) pairs.  Scores must be finite and
     weights positive and finite; the first pair that is not raises
@@ -33,7 +50,7 @@ def micro_average(scores: Sequence[tuple[float, float]]) -> float:
         if not (_finite(score) and _finite(weight) and weight > 0):
             raise InvalidWeightedScore(
                 f"pair {number}: scores must be finite and weights positive and finite, "
-                f"got ({score}, {weight})"
+                f"got ({_shown(score)}, {_shown(weight)})"
             )
     total_weight = sum(weight for _, weight in scores)
     weighted_sum = sum(score * weight for score, weight in scores)

@@ -18,7 +18,7 @@ import re
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,11 +43,20 @@ class TermNode:
 @dataclass(frozen=True)
 class SynonymyGraph:
     """Directed term graph; parallel edges are collapsed with their source
-    lexicon labels merged.  Immutable after build."""
+    lexicon labels merged.  Immutable after build.
+
+    Build one with graph_from_pairs or build_graph only: they also fill
+    the private id index that the cycle search walks.  Each node has one
+    integer id, so _nodes_by_id[_node_ids[n]] == n for every node, and
+    _adjacency[i] holds the ids of outgoing(_nodes_by_id[i]) in the same
+    order.  The index takes no part in equality or repr."""
 
     nodes: frozenset[TermNode]
     successors: dict[TermNode, tuple[TermNode, ...]]
     edge_labels: dict[tuple[TermNode, TermNode], frozenset[str]]
+    _nodes_by_id: tuple[TermNode, ...] = field(compare=False, repr=False)
+    _node_ids: dict[TermNode, int] = field(compare=False, repr=False)
+    _adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -66,27 +75,33 @@ class SynonymyGraph:
 
 def graph_from_pairs(pairs) -> SynonymyGraph:
     """Build from in-memory rows: (source node, target node, lexicon_id,
-    symmetric).  Self-loops are skipped."""
-    nodes: set[TermNode] = set()
-    edges: dict[tuple[TermNode, TermNode], set[str]] = {}
+    symmetric).  Self-loops are skipped.  Each node gets its id the first
+    time it appears; successors are ordered by (language, surface)."""
+    ids: dict[TermNode, int] = {}
+    edges: dict[tuple[int, int], set[str]] = {}
     for src, dst, lexicon, symmetric in pairs:
-        nodes.add(src)
-        nodes.add(dst)
-        if src == dst:
+        s = ids.setdefault(src, len(ids))
+        d = ids.setdefault(dst, len(ids))
+        if s == d:
             continue
-        edges.setdefault((src, dst), set()).add(lexicon)
+        edges.setdefault((s, d), set()).add(lexicon)
         if symmetric:
-            edges.setdefault((dst, src), set()).add(lexicon)
-    successors: dict[TermNode, list[TermNode]] = {}
-    for src, dst in edges:
-        successors.setdefault(src, []).append(dst)
+            edges.setdefault((d, s), set()).add(lexicon)
+    by_id = tuple(ids)
+    order = [(n.language, n.surface) for n in by_id]
+    targets: dict[int, list[int]] = {}
+    for s, d in edges:
+        targets.setdefault(s, []).append(d)
+    adjacency: list[tuple[int, ...]] = [()] * len(by_id)
+    for s, ds in targets.items():
+        adjacency[s] = tuple(sorted(ds, key=order.__getitem__))
     return SynonymyGraph(
-        frozenset(nodes),
-        {
-            src: tuple(sorted(dsts, key=lambda n: (n.language, n.surface)))
-            for src, dsts in successors.items()
-        },
-        {pair: frozenset(labels) for pair, labels in edges.items()},
+        frozenset(by_id),
+        {by_id[s]: tuple(by_id[d] for d in adjacency[s]) for s in targets},
+        {(by_id[s], by_id[d]): frozenset(labels) for (s, d), labels in edges.items()},
+        _nodes_by_id=by_id,
+        _node_ids=ids,
+        _adjacency=tuple(adjacency),
     )
 
 
@@ -130,28 +145,43 @@ class FuzzyResult:
 
 def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set[TermNode]:
     """Vertices lying on some simple cycle through the seed with at most
-    max_length edges (depth-bounded DFS over simple paths from the seed)."""
-    members: set[TermNode] = set()
-    path: list[TermNode] = []
-    on_path: set[TermNode] = {seed}
-
-    def extend(vertex: TermNode) -> None:
-        edges_used = len(path)
-        for nxt in graph.outgoing(vertex):
-            if nxt == seed:
-                if edges_used >= 1 and edges_used + 1 <= max_length:
-                    members.update(path)
+    max_length edges: a depth-bounded DFS over simple paths from the seed,
+    walking node ids with an explicit stack of adjacency iterators."""
+    start = graph._node_ids.get(seed)
+    if start is None:
+        return set()
+    adjacency = graph._adjacency
+    on_path = [False] * len(adjacency)  # the seed is tested by id first
+    members: set[int] = set()
+    path: list[int] = []  # the vertices after the seed, one per pushed iterator
+    stack = [iter(adjacency[start])]
+    while stack:
+        depth = len(path)  # edges from the seed to the vertex on top
+        for nxt in stack[-1]:
+            if nxt == start:
+                # only vertices at depth <= max_length - 2 are pushed, so
+                # this cycle is short enough; at the seed path is empty
+                members.update(path)
                 continue
-            if nxt in on_path or edges_used + 1 > max_length - 1:
+            # a cycle through nxt takes depth + 2 edges at least
+            if on_path[nxt] or depth + 2 > max_length:
+                continue
+            if depth + 2 == max_length:
+                # nxt can only close the cycle itself: no push needed
+                if start in adjacency[nxt]:
+                    members.update(path)
+                    members.add(nxt)
                 continue
             path.append(nxt)
-            on_path.add(nxt)
-            extend(nxt)
-            on_path.discard(nxt)
-            path.pop()
-
-    extend(seed)
-    return members
+            on_path[nxt] = True
+            stack.append(iter(adjacency[nxt]))
+            break
+        else:
+            stack.pop()
+            if path:
+                on_path[path.pop()] = False
+    nodes = graph._nodes_by_id
+    return {nodes[i] for i in members}
 
 
 def _seed_support(
@@ -163,11 +193,12 @@ def _seed_support(
     minimum: int,
     noun: str,
 ) -> Counter[TermNode]:
-    """Check the level, then the terms; then count, for each node, the
-    terms that support it.  Each absent term gets a SeedNotInGraphWarning
-    attributed to the code that called syn_extract or syn_eval."""
-    if level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
+    """Check the level (an int, not a bool, at least 1), then the terms;
+    then count, for each node, the terms that support it.  Each absent
+    term gets a SeedNotInGraphWarning attributed to the code that called
+    syn_extract or syn_eval."""
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
+        raise ValueError(f"level must be a positive integer, got {level!r}")
     if len(terms) < minimum:
         raise EmptyInput(f"{caller} requires at least {minimum} term(s)")
     duplicates = {t for t, n in Counter(terms).items() if n > 1}

@@ -29,7 +29,7 @@ from aranlp.wsd import (
 )
 from aranlp.textutils import INCOMPATIBLE, JaccardReport, match_words
 from aranlp.errors import DuplicateSeed, EmptyInput, SeedNotInGraphWarning
-from aranlp.synonymy import FuzzyResult, TermNode, _cycle_members, graph_from_pairs
+from aranlp.synonymy import FuzzyResult, TermNode, graph_from_pairs
 
 VOWEL_CODEPOINTS = "ًٌٍَُِْ"
 LETTERS = sorted(script.ARABIC_LETTERS)
@@ -240,11 +240,64 @@ def oracle_cycle_scores(nodes, edges, seeds, level, language):
     return {node: Fraction(count, len(seeds)) for node, count in support.items()}
 
 
+def reference_graph_from_pairs(pairs):
+    """graph_from_pairs as it was before the integer id index, verbatim up
+    to its return: the public (nodes, successors, edge_labels) it built."""
+    nodes: set[TermNode] = set()
+    edges: dict[tuple[TermNode, TermNode], set[str]] = {}
+    for src, dst, lexicon, symmetric in pairs:
+        nodes.add(src)
+        nodes.add(dst)
+        if src == dst:
+            continue
+        edges.setdefault((src, dst), set()).add(lexicon)
+        if symmetric:
+            edges.setdefault((dst, src), set()).add(lexicon)
+    successors: dict[TermNode, list[TermNode]] = {}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+    return (
+        frozenset(nodes),
+        {
+            src: tuple(sorted(dsts, key=lambda n: (n.language, n.surface)))
+            for src, dsts in successors.items()
+        },
+        {pair: frozenset(labels) for pair, labels in edges.items()},
+    )
+
+
+def reference_cycle_members(graph, seed, max_length):
+    """_cycle_members as it was before the integer id index, verbatim: a
+    recursive depth-bounded DFS that hashes and compares TermNodes."""
+    members: set[TermNode] = set()
+    path: list[TermNode] = []
+    on_path: set[TermNode] = {seed}
+
+    def extend(vertex: TermNode) -> None:
+        edges_used = len(path)
+        for nxt in graph.outgoing(vertex):
+            if nxt == seed:
+                if edges_used >= 1 and edges_used + 1 <= max_length:
+                    members.update(path)
+                continue
+            if nxt in on_path or edges_used + 1 > max_length - 1:
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            extend(nxt)
+            on_path.discard(nxt)
+            path.pop()
+
+    extend(seed)
+    return members
+
+
 def reference_syn_eval(terms, level, graph, language="ar"):
     """syn_eval as it was before the seed-support count: each term's member
-    set is searched once, then every term is scored by a pass over the
-    other terms.  Its term validation is inlined; absent terms warn with
-    the caller of this function as the warning's location."""
+    set is searched once (by reference_cycle_members), then every term is
+    scored by a pass over the other terms.  Its term validation is
+    inlined; absent terms warn with the caller of this function as the
+    warning's location."""
     if level < 1:
         raise ValueError(f"level must be a positive integer, got {level}")
     if len(terms) < 2:
@@ -256,7 +309,7 @@ def reference_syn_eval(terms, level, graph, language="ar"):
     members_of: dict[TermNode, set[TermNode]] = {}
     for surface, node in zip(terms, term_nodes):
         if node in graph:
-            members_of[node] = _cycle_members(graph, node, 2 * level)
+            members_of[node] = reference_cycle_members(graph, node, 2 * level)
         else:
             warnings.warn(
                 f"term {surface!r} ({language}) is not in the graph",
@@ -281,6 +334,19 @@ def random_digraph(rng: random.Random, max_nodes: int = 8, languages=("ar", "en"
         for dst in nodes:
             if src != dst and rng.random() < 0.25:
                 edges.add((src, dst))
+    return nodes, edges
+
+
+def sparse_digraph(rng: random.Random, max_nodes: int = 30, languages=("ar", "en")):
+    """Like random_digraph, but with a mean out-degree of 0.8-2.5 whatever
+    the size, so graphs of ~30 nodes keep their cycle count small."""
+    count = rng.randint(2, max_nodes)
+    nodes = [TermNode(f"n{i}", rng.choice(languages)) for i in range(count)]
+    probability = min(1.0, rng.uniform(0.8, 2.5) / (count - 1))
+    edges = {
+        (src, dst) for src in nodes for dst in nodes
+        if src != dst and rng.random() < probability
+    }
     return nodes, edges
 
 

@@ -478,6 +478,23 @@ class TestSynCommands:
         record = json.loads(capsys.readouterr().out)
         assert record == {"surface": "سبيل", "language": "ar", "score": 1.0}
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("records", "jsonl")])
+    @pytest.mark.parametrize("level", ["2", "3"])
+    @pytest.mark.parametrize("action, terms", [
+        ("extract", ["طريق", "قطة"]),
+        ("eval", ["طريق", "سبيل", "قطة"]),
+    ])
+    def test_fixture_output_is_byte_identical(self, action, terms, level, fmt, suffix, capsys):
+        # The expected files hold `syn` output recorded on the fixture graph;
+        # a search or scoring change that moves any output byte fails here.
+        assert dispatch([
+            "syn", action, "--pairs", PAIRS, "--level", level, "--format", fmt, *terms,
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open(f"tests/data/syn_{action}_level{level}_expected.{suffix}", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
+
 
 class TestResourceAndEvalCommands:
     def test_install_and_list(self, tmp_path, monkeypatch, capsys):

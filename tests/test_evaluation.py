@@ -1,10 +1,24 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 from aranlp.errors import AranlpError, EmptyInput, InvalidWeightedScore
 from aranlp.evaluation import CategoryResult, EvalReport, format_percent, micro_average
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4,300 digits on int -> str conversion,
+    set for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length to str")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestMicroAverage:
@@ -67,6 +81,34 @@ class TestMicroAverage:
             "pair 2: scores must be finite and weights positive and finite, "
             f"got ({pair[0]}, {pair[1]})"
         )
+
+    @pytest.mark.parametrize("pair, shown", [
+        ((0.5, 10**5000), "(0.5, <int of 5001 digits>)"),
+        ((10**5000, 1), "(<int of 5001 digits>, 1)"),
+        ((-(10**4300), 1), "(-<int of 4301 digits>, 1)"),
+        ((Fraction(10**5000, 3), 1), "(<int of 5001 digits>/3, 1)"),
+        ((0.5, 10**4299), f"(0.5, 1{'0' * 4299})"),
+    ], ids=["weight", "score", "negative-score", "fraction-score", "longest-that-prints"])
+    def test_integer_past_the_digit_limit_is_a_typed_error(self, pair, shown, default_digit_limit):
+        with pytest.raises(InvalidWeightedScore) as err:
+            micro_average([(0.25, 3), pair])
+        assert str(err.value) == (
+            f"pair 2: scores must be finite and weights positive and finite, got {shown}"
+        )
+
+    def test_digit_count_of_an_integer_past_the_limit(self, default_digit_limit):
+        rng = random.Random(19)
+        values = [10**k + d for k in (4300, 4301, 5000) for d in (0, 1)]
+        values += [10**k - 1 for k in (4302, 5000)]
+        values += [2**k for k in range(14290, 14330)]
+        values += [rng.randrange(10**4300, 10**6000) for _ in range(50)]
+        for value in values:
+            sys.set_int_max_str_digits(0)
+            digits = len(str(value))
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(InvalidWeightedScore) as err:
+                micro_average([(value, 1)])
+            assert str(err.value).endswith(f"got (<int of {digits} digits>, 1)")
 
     def test_integer_weights_summing_past_the_float_range_are_a_typed_error(self):
         weight = int(1.5e308)

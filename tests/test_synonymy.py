@@ -16,6 +16,7 @@ from aranlp.errors import (
 from aranlp.synonymy import (
     FuzzyResult,
     TermNode,
+    _cycle_members,
     build_graph,
     graph_from_pairs,
     syn_eval,
@@ -27,7 +28,10 @@ from _oracles import (
     digraph_as_graph as as_graph,
     oracle_cycle_scores as oracle_scores,
     random_digraph as random_graph,
+    reference_cycle_members,
+    reference_graph_from_pairs,
     reference_syn_eval,
+    sparse_digraph,
 )
 
 
@@ -166,29 +170,38 @@ class TestSynExtract:
         import networkx as nx
 
         rng = random.Random(43)
-        for _ in range(30):
-            nodes, edges = random_graph(rng)
+        seen = Counter()
+        for index in range(90):
+            if index < 30:
+                nodes, edges = random_graph(rng)
+            else:
+                nodes, edges = sparse_digraph(rng, max_nodes=30)
             graph = as_graph(nodes, edges)
             candidates = [n for n in nodes if n.language == "ar"]
             if not candidates:
                 continue
             seed = candidates[0]
-            level = 2
             dig = nx.DiGraph()
             dig.add_nodes_from(nodes)
             dig.add_edges_from(edges)
-            members = set()
-            for cycle in nx.simple_cycles(dig, length_bound=2 * level):
-                if seed in cycle:
-                    members.update(cycle)
-            members.discard(seed)
-            expected = {
-                node: Fraction(1, 1)
-                for node in members
-                if node.language == "ar"
-            }
-            mine = {r.term: r.score for r in syn_extract([seed.surface], level, graph, "ar")}
-            assert mine == expected
+            for level in (1, 2, 3, 4):
+                members = set()
+                for cycle in nx.simple_cycles(dig, length_bound=2 * level):
+                    if seed in cycle:
+                        members.update(cycle)
+                members.discard(seed)
+                expected = {
+                    node: Fraction(1, 1)
+                    for node in members
+                    if node.language == "ar"
+                }
+                mine = {r.term: r.score for r in syn_extract([seed.surface], level, graph, "ar")}
+                assert mine == expected
+                seen[f"level {level}"] += bool(expected)
+            seen["over 20 nodes"] += len(nodes) > 20
+        assert all(seen[key] for key in (
+            "level 1", "level 2", "level 3", "level 4", "over 20 nodes",
+        )), seen
 
 
 class TestSynEval:
@@ -325,3 +338,124 @@ class TestSeedSupport:
                 continue
             assert mine_warnings == []
         assert seen["positive"] and seen["warned"], seen
+
+
+class TestLevel:
+    @pytest.mark.parametrize("level, shown", [
+        (2.5, "2.5"), (2.0, "2.0"), ("2", "'2'"), (None, "None"), (True, "True"),
+        (False, "False"), (0, "0"), (-1, "-1"),
+    ])
+    @pytest.mark.parametrize("call", [syn_extract, syn_eval])
+    def test_level_that_is_not_a_positive_int_is_rejected(self, call, level, shown, pair_graph):
+        outcome, caught = _outcome(call, ["طريق", "سبيل"], level, pair_graph)
+        assert outcome == (ValueError, f"level must be a positive integer, got {shown}")
+        assert caught == []
+
+
+def _random_rows(rng):
+    """Pair rows over up to 30 nodes, with self-loops, symmetric rows and
+    repeated (source, target) rows under the same or another lexicon."""
+    count = rng.randint(1, 30)
+    nodes = [TermNode(f"n{i}", rng.choice(("ar", "en"))) for i in range(count)]
+    rows = []
+    for _ in range(int(count * rng.uniform(0.4, 1.4))):
+        src = rng.choice(nodes)
+        dst = src if rng.random() < 0.05 else rng.choice(nodes)
+        rows.append((src, dst, rng.choice(("lex1", "lex2", "lex3")), rng.random() < 0.3))
+        if rng.random() < 0.1:
+            rows.append(rng.choice(rows))
+    return nodes, rows
+
+
+def _cycles_through(graph, seed, max_length):
+    """Each simple cycle through the seed of at most max_length edges, as
+    its vertices from the seed on; for coverage counts only."""
+    def walk(path):
+        for nxt in graph.outgoing(path[-1]):
+            if nxt == seed:
+                if len(path) >= 2:
+                    yield tuple(path)
+            elif nxt not in path and len(path) < max_length:
+                yield from walk(path + [nxt])
+
+    return list(walk([seed]))
+
+
+class TestIntegerIndex:
+    """graph_from_pairs and _cycle_members keep the public fields and the
+    member sets of the TermNode-keyed code they replace."""
+
+    def test_public_fields_match_the_reference_builder(self):
+        rng = random.Random(71)
+        seen = Counter()
+        for _ in range(300):
+            nodes, rows = _random_rows(rng)
+            graph = graph_from_pairs(rows)
+            expected_nodes, expected_successors, expected_labels = reference_graph_from_pairs(rows)
+            assert graph.nodes == expected_nodes
+            assert list(graph.successors.items()) == list(expected_successors.items())
+            assert list(graph.edge_labels.items()) == list(expected_labels.items())
+            # the id index: ids in order of first appearance, adjacency as outgoing
+            order = list(dict.fromkeys(n for src, dst, _, _ in rows for n in (src, dst)))
+            assert list(graph._nodes_by_id) == order
+            assert graph._node_ids == {node: i for i, node in enumerate(order)}
+            assert len(graph._adjacency) == graph.node_count
+            for node, i in graph._node_ids.items():
+                assert tuple(graph._nodes_by_id[j] for j in graph._adjacency[i]) == (
+                    graph.outgoing(node)
+                )
+            pairs = Counter((src, dst) for src, dst, _, _ in rows)
+            seen["repeated row"] += any(n > 1 for n in pairs.values())
+            seen["symmetric"] += any(symmetric for *_, symmetric in rows)
+            seen["self-loop"] += any(src == dst for src, dst, _, _ in rows)
+            seen["merged labels"] += any(len(v) > 1 for v in graph.edge_labels.values())
+            seen["node without edges"] += graph.node_count > len(
+                {n for edge in graph.edge_labels for n in edge}
+            )
+        assert all(seen[key] for key in (
+            "repeated row", "symmetric", "self-loop", "merged labels", "node without edges",
+        )), seen
+
+    def test_graphs_differing_only_in_ids_are_equal(self):
+        a, b, c = (TermNode(s, "ar") for s in "abc")
+        rows = [(a, b, "lex", True), (b, c, "lex", False), (c, a, "lex", False)]
+        forward, backward = graph_from_pairs(rows), graph_from_pairs(rows[::-1])
+        assert forward._node_ids != backward._node_ids
+        assert forward == backward
+        assert "_node_ids" not in repr(forward) and "_adjacency" not in repr(forward)
+
+    def test_cycle_members_match_the_recursive_reference(self):
+        rng = random.Random(73)
+        seen = Counter()
+        for _ in range(400):
+            nodes, rows = _random_rows(rng)
+            graph = graph_from_pairs(rows)
+            seeds = rng.sample(nodes, min(len(nodes), 4)) + [TermNode("absent", "ar")]
+            for seed in seeds:
+                unbounded = reference_cycle_members(graph, seed, len(nodes) + 1)
+                for max_length in range(0, 9):
+                    mine = _cycle_members(graph, seed, max_length)
+                    assert mine == reference_cycle_members(graph, seed, max_length)
+                    cycles = _cycles_through(graph, seed, max_length)
+                    seen["result"] += bool(mine)
+                    seen["2-cycle"] += any(len(cycle) == 2 for cycle in cycles)
+                    seen["cycle at the bound"] += any(len(cycle) == max_length for cycle in cycles)
+                    seen["shared vertex"] += any(
+                        set(x[1:]) & set(y[1:]) for x in cycles for y in cycles if x != y
+                    )
+                    seen["longer than the bound"] += bool(unbounded - mine)
+        assert all(seen[key] for key in (
+            "result", "2-cycle", "cycle at the bound", "shared vertex", "longer than the bound",
+        )), seen
+
+    def test_deep_cycle_needs_no_recursion(self):
+        # one directed cycle a0 -> a1 -> ... -> a1499 -> a0
+        ring = [TermNode(f"a{i}", "ar") for i in range(1500)]
+        graph = graph_from_pairs(
+            [(ring[i], ring[(i + 1) % len(ring)], "lex", False) for i in range(len(ring))]
+        )
+        results = syn_extract(["a0"], 800, graph)
+        assert len(results) == 1499
+        assert {r.term for r in results} == set(ring[1:])
+        assert all(r.score == 1 for r in results)
+        assert syn_extract(["a0"], 749, graph) == []
