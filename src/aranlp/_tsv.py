@@ -15,10 +15,24 @@ by a blank line or the end of the file.  A comment line inside or
 between blocks neither ends nor starts a block.  A row with the wrong
 number of fields raises :class:`MalformedRow`; checks on the fields
 themselves belong to each loader.
+
+Loaders that build many container objects run under
+:func:`collector_paused`.  While a file loads, the heap only grows, so
+the cyclic garbage collector would otherwise run full collections that
+walk the half-built resource again and again and free nothing.  The
+collector is process-wide: the pause covers every thread for as long as
+the loader runs, and a loader re-enables only what it disabled, so a
+caller that turned the collector off finds it off afterwards.  Nothing
+here calls ``gc.collect()`` or ``gc.freeze()``; the objects a loader
+allocated are walked by the first collections after it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import gc
+import unicodedata
 from collections.abc import Collection, Iterable, Iterator
 from importlib import resources
 from pathlib import Path
@@ -31,10 +45,35 @@ def packaged(name: str) -> list[str]:
     return resources.files("aranlp").joinpath(f"data/{name}").read_text("utf-8").splitlines()
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector for the body, if it is on, and
+    turn it back on afterwards, also when the body raises.  Nested pauses
+    leave it to the outermost one.  Serves as a decorator too:
+    ``@collector_paused()``."""
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
 def _lines(source: str | Path | Iterable[str]) -> Iterable[str]:
     if isinstance(source, (str, Path)):
         return Path(source).read_text("utf-8").splitlines()
     return source
+
+
+def nfc_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+    """The lines of ``source`` (a path or an iterable of lines), each in
+    NFC.  Tab, the line breaks, ``#`` and white space are starters that
+    never compose with a neighbour, and NFC maps white space to white
+    space, so :func:`rows` over these lines yields, once stripped, the
+    same fields as normalizing each stripped field of the raw line."""
+    return map(functools.partial(unicodedata.normalize, "NFC"), _lines(source))
 
 
 def fields(

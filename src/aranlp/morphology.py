@@ -45,10 +45,6 @@ class MorphDictionary:
     entries: dict[str, tuple[MorphSolution, ...]]
     version: str = "unversioned"
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -99,6 +95,11 @@ def _strip_key(word: str) -> str:
     return ar_strip(word, diacritics=True, shaddah=True, tatweel=True)
 
 
+def _rank(solution: MorphSolution) -> tuple[int, str, str, str]:
+    return (-solution.frequency, solution.lemma, solution.pos, solution.root)
+
+
+@_tsv.collector_paused()
 def load_dictionary(
     source: str | Path | Iterable[str],
     tagset: frozenset[str] | None = None,
@@ -106,22 +107,21 @@ def load_dictionary(
 ) -> MorphDictionary:
     """Parse a dictionary TSV: wordform, lemma, pos, root, frequency.
 
-    ``source`` is a path or an iterable of lines.  Repeated wordform rows
-    aggregate into one frequency-sorted list (ties broken
-    lexicographically on lemma, pos, root).  pos tags are validated
-    against ``tagset`` (default: the packaged 40-tag inventory; pass an
-    explicit set to override, or an empty set to disable validation).
+    ``source`` is a path or an iterable of lines.  Fields are stripped and
+    NFC-normalized.  Repeated wordform rows aggregate into one
+    frequency-sorted list (ties broken lexicographically on lemma, pos,
+    root).  pos tags are validated against ``tagset`` (default: the
+    packaged 40-tag inventory; pass an explicit set to override, or an
+    empty set to disable validation).
     """
     if tagset is None:
         tagset = load_tagset()
     if isinstance(source, (str, Path)) and version is None:
         version = Path(source).name
-    grouped: dict[str, list[MorphSolution]] = {}
-    seen_rows: set[tuple[str, str, str, str]] = set()
-    for lineno, fields in _tsv.rows(source, 5):
-        wordform, lemma, pos, root, freq_text = (
-            unicodedata.normalize("NFC", f.strip()) for f in fields
-        )
+    entries: dict[str, tuple[MorphSolution, ...]] = {}
+    repeated: set[str] = set()  # wordforms with more than one solution
+    for lineno, fields in _tsv.rows(_tsv.nfc_lines(source), 5):
+        wordform, lemma, pos, root, freq_text = map(str.strip, fields)
         if not wordform or not lemma:
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
         if tagset and pos not in tagset:
@@ -132,19 +132,22 @@ def load_dictionary(
             raise MalformedRow(lineno, f"frequency {freq_text!r} is not an integer") from None
         if frequency < 0:
             raise MalformedRow(lineno, f"frequency must be non-negative, got {frequency}")
-        row_key = (wordform, lemma, pos, root)
-        if row_key in seen_rows:
+        solution = MorphSolution(lemma, pos, root, frequency)
+        solutions = entries.get(wordform)
+        if solutions is None:
+            entries[wordform] = (solution,)
+            continue
+        # a wordform holds a handful of solutions at most: scan them
+        if any(s.lemma == lemma and s.pos == pos and s.root == root for s in solutions):
             raise DuplicateExactRow(
                 f"line {lineno}: duplicate solution for {wordform!r}: <{lemma}, {pos}, {root}>"
             )
-        seen_rows.add(row_key)
-        grouped.setdefault(wordform, []).append(MorphSolution(lemma, pos, root, frequency))
-    if not grouped:
+        entries[wordform] = solutions + (solution,)
+        repeated.add(wordform)
+    if not entries:
         raise EmptyDictionary("dictionary has no data rows")
-    entries = {
-        wordform: tuple(sorted(sols, key=lambda s: (-s.frequency, s.lemma, s.pos, s.root)))
-        for wordform, sols in grouped.items()
-    }
+    for wordform in repeated:
+        entries[wordform] = tuple(sorted(entries[wordform], key=_rank))
     return MorphDictionary(entries, version or "unversioned")
 
 

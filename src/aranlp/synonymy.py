@@ -58,6 +58,9 @@ class SynonymyGraph:
     _node_ids: dict[TermNode, int] = field(compare=False, repr=False)
     _adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
+    # equality covers the successor and label dicts, which cannot hash
+    __hash__ = None
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -73,10 +76,12 @@ class SynonymyGraph:
         return node in self.nodes
 
 
+@_tsv.collector_paused()
 def graph_from_pairs(pairs) -> SynonymyGraph:
     """Build from in-memory rows: (source node, target node, lexicon_id,
     symmetric).  Self-loops are skipped.  Each node gets its id the first
-    time it appears; successors are ordered by (language, surface)."""
+    time it appears; successors are ordered by (language, surface).  Equal
+    label sets are one shared frozenset."""
     ids: dict[TermNode, int] = {}
     edges: dict[tuple[int, int], set[str]] = {}
     for src, dst, lexicon, symmetric in pairs:
@@ -95,16 +100,22 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
     adjacency: list[tuple[int, ...]] = [()] * len(by_id)
     for s, ds in targets.items():
         adjacency[s] = tuple(sorted(ds, key=order.__getitem__))
+    label_sets: dict[frozenset[str], frozenset[str]] = {}
+    edge_labels: dict[tuple[TermNode, TermNode], frozenset[str]] = {}
+    for (s, d), labels in edges.items():
+        key = frozenset(labels)
+        edge_labels[by_id[s], by_id[d]] = label_sets.setdefault(key, key)
     return SynonymyGraph(
         frozenset(by_id),
         {by_id[s]: tuple(by_id[d] for d in adjacency[s]) for s in targets},
-        {(by_id[s], by_id[d]): frozenset(labels) for (s, d), labels in edges.items()},
+        edge_labels,
         _nodes_by_id=by_id,
         _node_ids=ids,
         _adjacency=tuple(adjacency),
     )
 
 
+@_tsv.collector_paused()
 def build_graph(source: str | Path) -> SynonymyGraph:
     """Pair TSV: source_surface, source_lang, target_surface, target_lang,
     lexicon_id, symmetric{0|1}.  Symmetric rows expand to both directions."""

@@ -69,6 +69,7 @@ class SenseInventory:
     singleword: dict[str, tuple[Gloss, ...]]
 
 
+@_tsv.collector_paused()
 def load_inventory(source: str | Path) -> SenseInventory:
     """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text."""
     multiword: dict[str, list[Gloss]] = {}

@@ -12,8 +12,11 @@ import unicodedata
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from aranlp import morphology, script
+from aranlp import _tsv, morphology, script
+from aranlp.errors import DuplicateExactRow, EmptyDictionary, MalformedRow
+from aranlp.morphology import MorphDictionary, MorphSolution
 from aranlp.ner import decode_matrix, project_flat, run_tagger
 from aranlp.wsd import (
     KIND_ENTITY,
@@ -495,3 +498,97 @@ def reference_ar_strip(text, *, diacritics=False, shaddah=False, digits=False,
             continue
         out.append(ch)
     return "".join(out)
+
+
+def reference_load_dictionary(source, tagset=None, version=None):
+    """load_dictionary as it was before the one-pass parse, verbatim: each
+    stripped field is normalized on its own, and a set of every row seen
+    finds duplicates."""
+    if tagset is None:
+        tagset = morphology.load_tagset()
+    if isinstance(source, (str, Path)) and version is None:
+        version = Path(source).name
+    grouped: dict[str, list[MorphSolution]] = {}
+    seen_rows: set[tuple[str, str, str, str]] = set()
+    for lineno, fields in _tsv.rows(source, 5):
+        wordform, lemma, pos, root, freq_text = (
+            unicodedata.normalize("NFC", f.strip()) for f in fields
+        )
+        if not wordform or not lemma:
+            raise MalformedRow(lineno, "wordform and lemma must be non-empty")
+        if tagset and pos not in tagset:
+            raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
+        try:
+            frequency = int(freq_text)
+        except ValueError:
+            raise MalformedRow(lineno, f"frequency {freq_text!r} is not an integer") from None
+        if frequency < 0:
+            raise MalformedRow(lineno, f"frequency must be non-negative, got {frequency}")
+        row_key = (wordform, lemma, pos, root)
+        if row_key in seen_rows:
+            raise DuplicateExactRow(
+                f"line {lineno}: duplicate solution for {wordform!r}: <{lemma}, {pos}, {root}>"
+            )
+        seen_rows.add(row_key)
+        grouped.setdefault(wordform, []).append(MorphSolution(lemma, pos, root, frequency))
+    if not grouped:
+        raise EmptyDictionary("dictionary has no data rows")
+    entries = {
+        wordform: tuple(sorted(sols, key=lambda s: (-s.frequency, s.lemma, s.pos, s.root)))
+        for wordform, sols in grouped.items()
+    }
+    return MorphDictionary(entries, version or "unversioned")
+
+
+# White space that str.strip removes; NFC maps U+2000 and U+2001 to U+2002
+# and U+2003.
+EDGE_SPACES = " \u00a0\u2000\u2001\u3000"
+# Letters that NFC composes from a base and a combining mark.
+DECOMPOSABLE = "آأإؤئé"
+
+
+def random_dictionary_field(rng: random.Random, pool: list[str]) -> str:
+    """A field drawn from ``pool``, sometimes decomposed (NFD), led by a
+    combining mark, or padded with white space at either edge."""
+    text = rng.choice(pool)
+    if rng.random() < 0.3:
+        text = unicodedata.normalize("NFD", text)
+    if rng.random() < 0.1:
+        text = rng.choice(VOWEL_CODEPOINTS + script.SHADDAH) + text
+    if rng.random() < 0.3:
+        text = "".join(rng.choices(EDGE_SPACES, k=rng.randint(1, 2))) + text
+    if rng.random() < 0.3:
+        text += "".join(rng.choices(EDGE_SPACES, k=rng.randint(1, 2)))
+    return text
+
+
+def random_dictionary_lines(rng: random.Random, tags: list[str], rows: int = 30) -> list[str]:
+    """Data lines (wordform, lemma, pos, root, frequency) over small pools,
+    so wordforms repeat and frequencies tie, mixed with comment and blank
+    lines.  No two data lines name the same solution after stripping and
+    NFC."""
+    words = [random_token(rng, 3) for _ in range(rng.randint(2, 8))]
+    words += [rng.choice(LETTERS) + ch for ch in rng.sample(DECOMPOSABLE, 2)]
+    lemmas = [random_token(rng, 3) for _ in range(3)] + [rng.choice(DECOMPOSABLE) + "ب"]
+    lines, seen = [], set()
+    while len(lines) < rows:
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append("#" + rng.choice(["", " comment", "\tكتب\tx"]))
+            continue
+        if roll < 0.15:
+            lines.append("".join(rng.choices(EDGE_SPACES, k=rng.randint(0, 3))))
+            continue
+        fields = [
+            random_dictionary_field(rng, words),
+            random_dictionary_field(rng, lemmas),
+            rng.choice(tags),
+            random_dictionary_field(rng, ["كتب", "ذهب", ""]),
+            rng.choice(EDGE_SPACES[:1] + "\u3000") * rng.randint(0, 1) + str(rng.randint(0, 4)),
+        ]
+        key = tuple(unicodedata.normalize("NFC", f.strip()) for f in fields[:4])
+        if key in seen:
+            continue
+        seen.add(key)
+        lines.append("\t".join(fields))
+    return lines

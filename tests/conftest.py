@@ -1,8 +1,22 @@
+import gc
 from pathlib import Path
 
 import pytest
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that leaves the garbage collector disabled or frozen
+    (the library pauses it only inside its loaders); restore it first so
+    the next test starts clean."""
+    yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
+    assert enabled, "the garbage collector was left disabled"
+    assert frozen == 0, f"{frozen} objects were left frozen"
 
 
 @pytest.fixture(scope="session")

@@ -214,7 +214,7 @@ def test_c08_morphology_throughput_and_determinism():
     and byte-identical output across two runs."""
     rng = random.Random(5150)
     dictionary, wordforms = _throughput_dictionary(rng, 100_000)
-    assert dictionary.entry_count == 100_000
+    assert len(dictionary) == 100_000
     queries = [rng.choice(wordforms) for _ in range(80_000)]
     queries += ["".join(rng.choice(LETTERS) for _ in range(5)) for _ in range(20_000)]
     rng.shuffle(queries)

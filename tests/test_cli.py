@@ -214,6 +214,22 @@ class TestMorphCommand:
         assert dispatch(["morph"]) == 1
         assert "dictionary.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("records", "jsonl")])
+    @pytest.mark.parametrize("mode", ["lemma", "pos", "root", "full", "all"])
+    def test_fixture_output_is_byte_identical(self, mode, fmt, suffix, capsys):
+        # The expected files hold `morph` output recorded on the fixture
+        # dictionary over exact, stripped-path and out-of-vocabulary tokens;
+        # a loader or lookup change that moves any output byte fails here.
+        option = ["--all"] if mode == "all" else ["--task", mode]
+        assert dispatch([
+            "morph", "--dict", MORPH, "--file", "tests/data/morph_tokens.txt",
+            "--format", fmt, *option,
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open(f"tests/data/morph_{mode}_expected.{suffix}", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
+
 
 class TestNerCommands:
     def test_tag_spans(self, monkeypatch, capsys):

@@ -1,5 +1,7 @@
+import random
 import threading
 import unicodedata
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,8 @@ from aranlp.morphology import (
     load_tag_map,
     load_tagset,
 )
+
+from _oracles import EDGE_SPACES, random_dictionary_lines, reference_load_dictionary
 
 
 def linear_scan(path, word):
@@ -85,6 +89,128 @@ class TestLoadDictionary:
         ]
         loaded = load_dictionary(rows)
         assert [s.lemma for s in loaded.entries["كتب"]] == ["كَتَبَ", "كِتابٌ"]
+
+
+def _bad_row(rng: random.Random, good: list[str]) -> tuple[str, set[str]]:
+    """A data line with one to three faults, each a check load_dictionary
+    makes, and the names of the faults."""
+    data = [line for line in good if line.strip() and not line.startswith("#")]
+    wordform, lemma, pos, root, frequency = rng.choice(data).split("\t")
+    faults = set(rng.sample(
+        ["duplicate", "wordform", "lemma", "pos", "not an integer", "negative", "width"],
+        rng.randint(1, 3),
+    ))
+    if "duplicate" in faults:  # the same solution, written another way
+        wordform = unicodedata.normalize("NFD", wordform) + rng.choice(EDGE_SPACES)
+        lemma = rng.choice(EDGE_SPACES) + lemma
+        frequency = str(int(frequency) + 1)
+    if "wordform" in faults:
+        wordform = rng.choice(["", "\u2000", " \u3000"])
+    if "lemma" in faults:
+        lemma = rng.choice(["", "\u2001", "\u00a0 "])
+    if "pos" in faults:
+        pos = rng.choice(["whatever", "NOUN", " "])
+    if "not an integer" in faults:
+        frequency = rng.choice(["many", "1.5", "", "\u2000", "٣x"])
+    elif "negative" in faults:
+        frequency = rng.choice(["-1", " -7", "-0"])
+    fields = [wordform, lemma, pos, root, frequency]
+    if "width" in faults:
+        fields = fields[:4] if rng.random() < 0.5 else fields + ["extra"]
+    return "\t".join(fields), faults
+
+
+class TestLoaderOracle:
+    """load_dictionary parses as the per-field reference it replaces."""
+
+    TAGSETS = [None, frozenset(), frozenset({"noun", "verb", "prep"})]
+    MESSAGES = [
+        "must be non-empty", "tag set", "not an integer", "non-negative", "tab-separated",
+        "duplicate solution",
+    ]
+
+    SOURCES = {
+        "path": lambda lines, path: path,
+        "str path": lambda lines, path: str(path),
+        "lines": lambda lines, path: list(lines),
+        "lines with newlines": lambda lines, path: [line + "\n" for line in lines],
+        "generator": lambda lines, path: iter(lines),
+    }
+
+    @staticmethod
+    def _outcome(load, source, tagset):
+        try:
+            loaded = load(source, tagset=tagset)
+        except (MalformedRow, DuplicateExactRow, EmptyDictionary) as exc:
+            return type(exc), str(exc), getattr(exc, "line_number", None)
+        return loaded, list(loaded.entries.items())
+
+    def _load_both(self, lines, tagset, tmp_path, seen):
+        """Load ``lines`` from every kind of source with the loader and the
+        reference; assert equal outcomes and return the loader's."""
+        path = tmp_path / "dictionary.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name, make in self.SOURCES.items():
+            mine = self._outcome(load_dictionary, make(lines, path), tagset)
+            expected = self._outcome(reference_load_dictionary, make(lines, path), tagset)
+            assert mine == expected, (name, lines)
+            seen[name] += 1
+        return mine
+
+    def test_good_dictionaries_match_the_reference(self, tmp_path):
+        rng = random.Random(1101)
+        tags = sorted(load_tagset())
+        seen = Counter()
+        for _ in range(150):
+            lines = random_dictionary_lines(rng, tags, rng.randint(0, 40))
+            self._load_both(lines, rng.choice([None, frozenset()]), tmp_path, seen)
+            text = "\n".join(lines)
+            data = [line.split("\t") for line in lines if line.strip() and line[0] != "#"]
+            entries = reference_load_dictionary(lines, tagset=frozenset()).entries if data else {}
+            seen["multi-solution"] += any(len(v) > 1 for v in entries.values())
+            seen["tied frequencies"] += any(
+                len({s.frequency for s in v}) < len(v) for v in entries.values()
+            )
+            seen["comment"] += any(line.startswith("#") for line in lines)
+            seen["blank"] += any(not line.strip() for line in lines)
+            for space in EDGE_SPACES:
+                seen[f"edge U+{ord(space):04X}"] += any(
+                    f != f.lstrip(space) or f != f.rstrip(space) for row in data for f in row
+                )
+            seen["leading mark"] += any(
+                f.strip() and unicodedata.combining(f.strip()[0]) for row in data for f in row
+            )
+            seen["NFC composes"] += text != unicodedata.normalize("NFC", text)
+            seen["empty dictionary"] += not data
+        assert all(seen[key] for key in (
+            "multi-solution", "tied frequencies", "comment", "blank", "edge U+0020",
+            "edge U+00A0", "edge U+2000", "edge U+2001", "edge U+3000", "leading mark",
+            "NFC composes", "empty dictionary", *self.SOURCES,
+        )), seen
+
+    def test_bad_rows_raise_as_the_reference(self, tmp_path):
+        rng = random.Random(1103)
+        tags = sorted(load_tagset())
+        seen = Counter()
+        for _ in range(300):
+            good = random_dictionary_lines(rng, tags, rng.randint(1, 20))
+            if not any(line.strip() and not line.startswith("#") for line in good):
+                continue
+            bad, faults = _bad_row(rng, good)
+            lines = list(good)
+            lines.insert(rng.randint(0, len(lines)), bad)
+            lines += random_dictionary_lines(rng, tags, rng.randint(0, 5))
+            mine = self._load_both(lines, rng.choice(self.TAGSETS), tmp_path, seen)
+            if not isinstance(mine[0], type):  # an unknown tag with no tag set, or -0
+                seen["loaded"] += 1
+                continue
+            seen[mine[0].__name__] += 1
+            seen.update(key for key in self.MESSAGES if key in mine[1])
+            seen["several faults"] += len(faults) > 1
+        assert all(seen[key] for key in (
+            "MalformedRow", "DuplicateExactRow", "several faults", "loaded", *self.MESSAGES,
+            *self.SOURCES,
+        )), seen
 
 
 class TestAnalyze:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import tarfile
 import zipfile
 
@@ -241,3 +242,74 @@ class TestLineFiles:
         path = tmp_path / "blocks.tsv"
         path.write_text(text, encoding="utf-8")
         assert load(path) == expected
+
+
+def _watched(items, seen):
+    """Yield ``items``, noting the collector's state before each one; a
+    None item stands for a reader that fails partway with MalformedRow."""
+    for lineno, item in enumerate(items, start=1):
+        seen.append(gc.isenabled())
+        if item is None:
+            raise MalformedRow(lineno, "unreadable")
+        yield item
+
+
+_a, _b, _c = (synonymy.TermNode(s, "ar") for s in "abc")
+
+# (loader, good items, an item it fails on) for every loader that pauses
+# the collector
+PAUSING_LOADERS = {
+    "load_dictionary": (
+        morphology.load_dictionary,
+        ["ذهب\tذَهَبَ\tverb\tذهب\t900\n", "ذهب\tذَهَبٌ\tnoun\tذهب\t100\n"],
+        "ذهب\tذَهَبَ\tverb\tذهب\n",
+    ),
+    "build_graph": (
+        synonymy.build_graph,
+        ["a\tar\tb\tar\tlex1\t1\n", "b\tar\tc\tar\tlex1\t0\n"],
+        "a\tar\tb\tar\tlex1\t2\n",
+    ),
+    "graph_from_pairs": (
+        synonymy.graph_from_pairs, [(_a, _b, "lex1", True), (_b, _c, "lex1", False)], None,
+    ),
+    "load_inventory": (
+        wsd.load_inventory,
+        ["SW\tقامَ\tg1\tوقف\n", "MW\tضَرِيبَةٌ دَخْلٌ\tg2\tمال\n"],
+        "XX\tقامَ\tg3\tوقف\n",
+    ),
+}
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("name", list(PAUSING_LOADERS))
+    def test_loader_pauses_and_restores_the_callers_state(self, name, enabled):
+        load, good, bad = PAUSING_LOADERS[name]
+        seen: list[bool] = []
+        if not enabled:
+            gc.disable()
+        try:
+            load(_watched(good, seen))
+            after_success = gc.isenabled()
+            with pytest.raises(MalformedRow) as err:
+                load(_watched([*good, bad, *good], seen))
+            after_error = gc.isenabled()
+        finally:
+            gc.enable()
+        assert err.value.line_number == len(good) + 1
+        assert len(seen) == 2 * len(good) + 1 and not any(seen)
+        assert after_success is enabled and after_error is enabled
+
+    def test_nested_pauses_leave_it_to_the_outermost(self):
+        @_tsv.collector_paused()
+        def inner():
+            with _tsv.collector_paused():
+                assert not gc.isenabled()
+            return gc.isenabled()
+
+        with _tsv.collector_paused():
+            assert inner() is False
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        assert inner() is False and gc.isenabled()
+        assert gc.get_freeze_count() == 0

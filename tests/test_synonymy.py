@@ -416,6 +416,25 @@ class TestIntegerIndex:
             "repeated row", "symmetric", "self-loop", "merged labels", "node without edges",
         )), seen
 
+    def test_equal_label_sets_are_one_object(self):
+        rng = random.Random(79)
+        shared = 0
+        for _ in range(100):
+            nodes, rows = _random_rows(rng)
+            labels = list(graph_from_pairs(rows).edge_labels.values())
+            _, _, expected = reference_graph_from_pairs(rows)
+            assert labels == list(expected.values())  # equal to fresh frozensets
+            assert all(type(label) is frozenset for label in labels)
+            assert len({id(label) for label in labels}) == len(set(labels))
+            shared += len(set(labels)) < len(labels)
+        assert shared
+
+    def test_graph_is_unhashable_by_declaration(self):
+        graph = graph_from_pairs([(TermNode("a", "ar"), TermNode("b", "ar"), "l", True)])
+        with pytest.raises(TypeError, match="unhashable type: 'SynonymyGraph'"):
+            hash(graph)
+        assert graph == graph_from_pairs([(TermNode("a", "ar"), TermNode("b", "ar"), "l", True)])
+
     def test_graphs_differing_only_in_ids_are_equal(self):
         a, b, c = (TermNode(s, "ar") for s in "abc")
         rows = [(a, b, "lex", True), (b, c, "lex", False), (c, a, "lex", False)]
