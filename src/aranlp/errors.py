@@ -103,6 +103,10 @@ class ZeroVector(AranlpError):
     """Cosine similarity is undefined for a zero vector."""
 
 
+class NonFiniteValue(AranlpError, ValueError):
+    """A vector component or a score to rank is NaN or infinite."""
+
+
 class EmptySentence(AranlpError):
     """A sentence produced no tokens to embed."""
 

@@ -4,11 +4,23 @@ cosine similarity, plus a Spearman rank evaluation harness.
 The embedding model is pluggable; the shipped default is a hashed
 character-trigram provider that is deterministic across runs and
 platforms (fixed 64-bit FNV-1a hashing, fixed accumulation order).
+
+``relatedness`` pools that default provider without per-token vectors:
+``HashedTrigramProvider`` adds each trigram's signed unit into one integer
+count per dimension and divides the counts by the token count once.  A
+column of +-1.0 values sums to the same exact integer in any order, so this
+equals ``mean_pool(provider.embed(s))`` bit for bit.  Any other provider,
+and a subclass that overrides ``embed`` or ``_token_vector``, is pooled
+through ``embed``.  Each provider hashes through a memo of the FNV-1a state
+after a trigram's first two characters, so only the third character's
+bytes are hashed per trigram; the memo holds at most
+``_PREFIX_MEMO_LIMIT`` (65,536) entries and is cleared when full.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -24,6 +36,7 @@ from .errors import (
     EmptySentence,
     LengthMismatch,
     MalformedRow,
+    NonFiniteValue,
     ZeroVector,
 )
 
@@ -43,6 +56,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# Entries in one provider's trigram-prefix memo before it is cleared; an
+# Arabic two-character prefix and its state take about 140 bytes, so a
+# full memo holds about 9 MiB.
+_PREFIX_MEMO_LIMIT = 65_536
+
 
 def _fnv1a(data: bytes) -> int:
     value = _FNV_OFFSET
@@ -57,27 +75,67 @@ class HashedTrigramProvider:
     Each token is wrapped in boundary markers and its character trigrams
     are hashed with FNV-1a; the low bits pick the dimension index and a
     high bit picks the sign.
+
+    ``_pooled(sentence)`` is the mean of ``embed(sentence)`` built from
+    integer counts without per-token vectors; ``relatedness`` uses it.
+    Hashing reads the FNV-1a state after each trigram's first two
+    characters from a per-provider memo of at most ``_PREFIX_MEMO_LIMIT``
+    entries, cleared when full.
     """
 
     def __init__(self, dimension: int = 256):
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         self.dimension = dimension
+        self._prefix_states: dict[str, int] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the pooled path must equal mean_pool(embed(s)), so a subclass that
+        # changes the per-token vectors is pooled through them
+        if (cls.embed is not HashedTrigramProvider.embed
+                or cls._token_vector is not HashedTrigramProvider._token_vector):
+            cls._pooled = None
+
+    def _counts(self, tokens: Sequence[str]) -> list[int]:
+        """Signed trigram counts summed over the tokens, one per dimension."""
+        dimension = self.dimension
+        states = self._prefix_states
+        counts = [0] * dimension
+        for token in tokens:
+            wrapped = f"^{token}$"
+            for i in range(len(wrapped) - 2):
+                head = wrapped[i:i + 2]
+                value = states.get(head)
+                if value is None:
+                    if len(states) >= _PREFIX_MEMO_LIMIT:
+                        states.clear()
+                    value = states[head] = _fnv1a(head.encode("utf-8"))
+                for byte in wrapped[i + 2].encode("utf-8"):
+                    value = ((value ^ byte) * _FNV_PRIME) & _MASK64
+                if value >> 63:
+                    counts[value % dimension] += 1
+                else:
+                    counts[value % dimension] -= 1
+        return counts
 
     def _token_vector(self, token: str) -> Vector:
-        vector = [0.0] * self.dimension
-        wrapped = f"^{token}$"
-        for i in range(len(wrapped) - 2):
-            digest = _fnv1a(wrapped[i:i + 3].encode("utf-8"))
-            sign = 1.0 if digest & (1 << 63) else -1.0
-            vector[digest % self.dimension] += sign
-        return vector
+        return [float(c) for c in self._counts((token,))]
 
-    def embed(self, sentence: str) -> list[Vector]:
+    @staticmethod
+    def _tokens(sentence: str) -> list[str]:
         tokens = unicodedata.normalize("NFC", sentence).split()
         if not tokens:
             raise EmptySentence("sentence has no tokens to embed")
-        return [self._token_vector(t) for t in tokens]
+        return tokens
+
+    def embed(self, sentence: str) -> list[Vector]:
+        return [self._token_vector(t) for t in self._tokens(sentence)]
+
+    def _pooled(self, sentence: str) -> Vector:
+        tokens = self._tokens(sentence)
+        count = len(tokens)
+        return [c / count for c in self._counts(tokens)]
 
 
 def mean_pool(vectors: Sequence[Vector]) -> Vector:
@@ -92,15 +150,45 @@ def mean_pool(vectors: Sequence[Vector]) -> Vector:
     return [sum(column) / count for column in zip(*vectors)]
 
 
+_NORMAL_MIN = sys.float_info.min
+
+
+def _any_non_finite(values) -> bool:
+    # compares rather than converts, so an int beyond the float range is finite
+    return any(v != v or v in (math.inf, -math.inf) for v in values)
+
+
+def _unit_scaled(v: Vector) -> Vector:
+    """v divided by its largest absolute component."""
+    if _any_non_finite(v):
+        raise NonFiniteValue("cosine similarity is undefined for a NaN or infinite component")
+    scale = max(map(abs, v), default=0.0)
+    if scale == 0.0:
+        raise ZeroVector("cosine similarity is undefined for a zero vector")
+    return [x / scale for x in v]
+
+
 def cosine(a: Vector, b: Vector) -> float:
-    """dot(a, b) / (|a| |b|), clamped to [-1, 1] against rounding."""
+    """dot(a, b) / (|a| |b|), clamped to [-1, 1] against rounding.
+
+    Where a squared norm is zero, subnormal or infinite, or the quotient is
+    not finite, both vectors are first divided by their largest absolute
+    component, so the largest square is 1; a NaN or infinite component
+    raises ``NonFiniteValue`` and an all-zero vector ``ZeroVector``.
+    """
     if len(a) != len(b):
         raise DimensionMismatch(f"vector dimensions differ: {len(a)} vs {len(b)}")
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(x * x for x in b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity is undefined for a zero vector")
-    value = sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
+    square_a = sum(x * x for x in a)
+    square_b = sum(x * x for x in b)
+    if _NORMAL_MIN <= square_a < math.inf and _NORMAL_MIN <= square_b < math.inf:
+        value = sum(x * y for x, y in zip(a, b)) / (math.sqrt(square_a) * math.sqrt(square_b))
+        if math.isfinite(value):
+            return max(-1.0, min(1.0, value))
+    a, b = _unit_scaled(a), _unit_scaled(b)
+    # both squares now lie in [1, len(a)]: one square root suffices
+    value = sum(x * y for x, y in zip(a, b)) / math.sqrt(
+        sum(x * x for x in a) * sum(y * y for y in b)
+    )
     return max(-1.0, min(1.0, value))
 
 
@@ -117,11 +205,13 @@ class SentencePair:
 
 def relatedness(pair: SentencePair, provider: EmbeddingProvider) -> float:
     """Cosine of the mean-pooled embeddings of the two sentences, reported
-    raw in [-1, 1]."""
-    return cosine(
-        mean_pool(provider.embed(pair.s1)),
-        mean_pool(provider.embed(pair.s2)),
-    )
+    raw in [-1, 1].  A provider with a ``_pooled`` method (the trigram
+    provider) pools each sentence itself; any other goes through
+    ``mean_pool(provider.embed(s))``."""
+    pooled = getattr(provider, "_pooled", None)
+    if pooled is None:
+        return cosine(mean_pool(provider.embed(pair.s1)), mean_pool(provider.embed(pair.s2)))
+    return cosine(pooled(pair.s1), pooled(pair.s2))
 
 
 def to_unit_interval(score: float) -> float:
@@ -166,6 +256,8 @@ def spearman(gold: Sequence[float], pred: Sequence[float]) -> float:
     of their positions)."""
     if len(gold) != len(pred):
         raise LengthMismatch(f"lists differ in length: {len(gold)} vs {len(pred)}")
+    if _any_non_finite(gold) or _any_non_finite(pred):
+        raise NonFiniteValue("rank correlation is undefined for NaN or infinite values")
     if len(gold) < 2:
         raise DegenerateConstantInput("rank correlation needs at least two points")
     if len(set(gold)) == 1 or len(set(pred)) == 1:

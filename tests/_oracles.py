@@ -476,6 +476,73 @@ def reference_mean_pool(vectors) -> list:
     return [sum(v[i] for v in vectors) / count for i in range(len(vectors[0]))]
 
 
+def _fnv1a(data: bytes) -> int:
+    value = 0xCBF29CE484222325
+    for byte in data:
+        value = ((value ^ byte) * 0x00000100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+class ReferenceTrigramProvider:
+    """Trigram embedding oracle: HashedTrigramProvider's per-token vectors
+    as first written, a dense float list per token and one FNV-1a pass over
+    every byte of every trigram (``_token_vector`` is that code verbatim)."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+
+    def _token_vector(self, token: str) -> list:
+        vector = [0.0] * self.dimension
+        wrapped = f"^{token}$"
+        for i in range(len(wrapped) - 2):
+            digest = _fnv1a(wrapped[i:i + 3].encode("utf-8"))
+            sign = 1.0 if digest & (1 << 63) else -1.0
+            vector[digest % self.dimension] += sign
+        return vector
+
+    def embed(self, sentence: str) -> list:
+        return [self._token_vector(t) for t in unicodedata.normalize("NFC", sentence).split()]
+
+
+def reference_cosine(a, b) -> float:
+    """Cosine as first written, with no guard for squares that leave the
+    normal float range; the library must match it bit for bit elsewhere."""
+    norm_a = math.sqrt(sum(x * x for x in a))
+    norm_b = math.sqrt(sum(x * x for x in b))
+    value = sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
+    return max(-1.0, min(1.0, value))
+
+
+def random_embedding_sentence(rng: random.Random) -> str:
+    """1-12 tokens mixing ASCII, Arabic, diacritized Arabic, one-character
+    tokens, astral (4-byte UTF-8) characters and decomposed letters that
+    NFC composes, joined by assorted whitespace."""
+    def token():
+        kind = rng.randrange(7)
+        if kind == 0:
+            return "".join(rng.choices("abcdefghijklmnopqrstuvwxyzABC019", k=rng.randint(1, 8)))
+        if kind == 1:
+            return "".join(rng.choices(LETTERS, k=rng.randint(1, 8)))
+        if kind == 2:
+            return "".join(
+                letter + rng.choice(VOWEL_CODEPOINTS)
+                for letter in rng.choices(LETTERS, k=rng.randint(1, 6))
+            )
+        if kind == 3:
+            return rng.choice(LETTERS + list("az9"))
+        if kind == 4:
+            # an astral character alone, ending a trigram, and mid-token
+            astral = chr(rng.randint(0x1D400, 0x1D7FF))
+            return rng.choice([astral, "ab" + astral, rng.choice(LETTERS) + astral + "x"])
+        if kind == 5:
+            return rng.choice(["e\u0301", "a\u0308b", "\u0627\u0653"])
+        return random_token(rng)
+
+    separators = [" ", "  ", "\t", "\n"]
+    parts = [token() for _ in range(rng.randint(1, 12))]
+    return "".join(part + rng.choice(separators) for part in parts).strip()
+
+
 def reference_ar_strip(text, *, diacritics=False, shaddah=False, digits=False,
                        unify_alif=False, special_chars=False, tatweel=False) -> str:
     """Stripping equivalence oracle: the per-character loop that tests the

@@ -19,6 +19,7 @@ MORPH = "tests/data/morph_dict.tsv"
 GAZ = "tests/data/gazetteer.tsv"
 INV = "tests/data/inventory.tsv"
 PAIRS = "tests/data/synonym_pairs.tsv"
+RELATED = "tests/data/relatedness_pairs.tsv"
 EXAMPLE = "وزارة الاقتصاد تقوم بتخفيض ضريبة الدخل في مصر"
 
 HELP_TARGETS = [
@@ -459,6 +460,29 @@ class TestRelatednessCommands:
         assert dispatch(["relatedness", "eval", "--pairs", str(pairs)]) == 0
         value = float(capsys.readouterr().out)
         assert -1.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("options, expected", [
+        ([], "relatedness_score_expected.txt"),
+        (["--format", "records"], "relatedness_score_expected.jsonl"),
+        (["--rescale"], "relatedness_score_rescale_expected.txt"),
+        (["--rescale", "--format", "records"], "relatedness_score_rescale_expected.jsonl"),
+    ])
+    def test_score_fixture_output_is_byte_identical(self, options, expected, capsys):
+        # The expected files hold `relatedness score` output recorded on the
+        # fixture pairs; an embedding or cosine change that moves any output
+        # byte fails here.
+        assert dispatch(["relatedness", "score", "--pairs", RELATED, *options]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open(f"tests/data/{expected}", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
+
+    def test_eval_fixture_output_is_byte_identical(self, capsys):
+        assert dispatch(["relatedness", "eval", "--pairs", RELATED]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open("tests/data/relatedness_eval_expected.txt", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
 
     def test_eval_requires_gold_column(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"

@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 from scipy import stats
@@ -12,9 +13,11 @@ from aranlp.errors import (
     EmptySentence,
     LengthMismatch,
     MalformedRow,
+    NonFiniteValue,
     ZeroVector,
 )
 from aranlp.relatedness import (
+    _PREFIX_MEMO_LIMIT,
     HashedTrigramProvider,
     SentencePair,
     cosine,
@@ -26,7 +29,13 @@ from aranlp.relatedness import (
     to_unit_interval,
 )
 
-from _oracles import oracle_spearman, reference_mean_pool
+from _oracles import (
+    ReferenceTrigramProvider,
+    oracle_spearman,
+    random_embedding_sentence,
+    reference_cosine,
+    reference_mean_pool,
+)
 
 
 class TestMeanPool:
@@ -85,6 +94,11 @@ class TestCosine:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             cosine([0.0, 0.0], [1.0, 0.0])
+        for zero in ([0.0, -0.0], [], [0, 0]):
+            with pytest.raises(ZeroVector, match="^cosine similarity is undefined for a zero vector$"):
+                cosine(zero, [1.0] * len(zero))
+            with pytest.raises(ZeroVector):
+                cosine([1.0] * len(zero), zero)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -104,6 +118,36 @@ class TestCosine:
     def test_clamped(self):
         v = [1e-8, 1.0]
         assert -1.0 <= cosine(v, v) <= 1.0
+
+    def test_ordinary_inputs_keep_the_first_expression(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            n = rng.randint(1, 40)
+            scale = 10.0 ** rng.randint(-100, 100)
+            a = [rng.uniform(-1, 1) * scale for _ in range(n)]
+            b = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-100, 100) for _ in range(n)]
+            assert cosine(a, b) == reference_cosine(a, b)
+
+    def test_squares_beyond_the_float_range(self):
+        assert cosine([1e200, 1e200], [-1e200, -1e200]) == -1.0
+        assert cosine([1e200, 1e200], [1e200, 1e200]) == 1.0
+        assert cosine([3e200, 4e200], [4e200, 3e200]) == pytest.approx(0.96, abs=1e-15)
+        # one vector out of range, the other ordinary
+        assert cosine([1e300, 0.0], [1.0, 1.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+    def test_squares_below_the_normal_range(self):
+        assert cosine([1e-200], [1e-200]) == 1.0
+        assert cosine([1e-200], [-3.0]) == -1.0
+        assert cosine([3e-170, 4e-170], [4e-170, 3e-170]) == pytest.approx(0.96, abs=1e-15)
+        assert cosine([5e-324, 0.0], [0.0, 5e-324]) == 0.0
+
+    def test_non_finite_components_raise_a_typed_error(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for a, b in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])):
+                with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+                    cosine(a, b)
+        assert issubclass(NonFiniteValue, AranlpError)
+        assert issubclass(NonFiniteValue, ValueError)
 
 
 class TestProvider:
@@ -136,6 +180,28 @@ class TestProvider:
         vector = HashedTrigramProvider(dimension=8)._token_vector("a")
         assert len(vector) == 8
         assert sum(abs(x) for x in vector) == 1.0
+        # recorded vectors over ASCII, Arabic, diacritized and astral tokens
+        # ("ab𝒜" ends a trigram in a 4-byte character); a cancelled index
+        # reads 0.0 as an untouched one does
+        sentence = "a كتاب كَتَبَ 𝒜 ab𝒜"
+        assert HashedTrigramProvider(dimension=8).embed(sentence) == [
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0, -1.0, 0.0, -1.0, 1.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0],
+        ]
+        nonzero = [
+            {204: 1.0},
+            {62: -1.0, 115: 1.0, 158: 1.0, 204: 1.0},
+            {66: 1.0, 104: 1.0, 198: -1.0, 231: 1.0, 241: 1.0, 252: -1.0},
+            {152: 1.0},
+            {38: 1.0, 135: -1.0, 220: 1.0},
+        ]
+        expected = [[row.get(i, 0.0) for i in range(256)] for row in nonzero]
+        vectors = HashedTrigramProvider(dimension=256).embed(sentence)
+        assert vectors == expected
+        assert all(math.copysign(1.0, x) == 1.0 for v in vectors for x in v if x == 0.0)
 
 
 class TestRelatedness:
@@ -228,6 +294,18 @@ class TestSpearman:
         with pytest.raises(LengthMismatch):
             spearman([1, 2], [1, 2, 3])
 
+    def test_non_finite_values_raise_a_typed_error(self):
+        with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+            spearman([1.0, 2.0, math.nan, 4.0], [4.0, 3.0, 2.0, 1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteValue):
+                spearman([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+            with pytest.raises(NonFiniteValue):
+                spearman([bad, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+    def test_integers_beyond_the_float_range_still_rank(self):
+        assert spearman([10**400, 1, 2], [3.0, 1.0, 2.0]) == 1.0
+
     def test_degenerate_constant(self):
         with pytest.raises(DegenerateConstantInput):
             spearman([1, 1, 1], [1, 2, 3])
@@ -262,3 +340,170 @@ class TestSpearman:
                 continue
             transformed = [math.exp(3 * v) for v in pred]
             assert spearman(gold, pred) == pytest.approx(spearman(gold, transformed), abs=1e-12)
+
+
+class _Forwarding:
+    """An attribute-forwarding proxy like a tracer's: it counts calls to
+    embed and reads every other attribute from the target."""
+
+    def __init__(self, target):
+        self._target = target
+        self.embed_calls = 0
+
+    def embed(self, sentence):
+        self.embed_calls += 1
+        return self._target.embed(sentence)
+
+    def __getattr__(self, attr):
+        return getattr(self._target, attr)
+
+
+class _SizeWatch(dict):
+    """A dict that records its largest size and how often it was cleared."""
+
+    largest = 0
+    clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def _cancelling_sentence(dimension):
+    """Two one-character tokens whose single trigrams land on the same index
+    with opposite signs, so the pooled vector is all zero."""
+    oracle = ReferenceTrigramProvider(dimension)
+    seen = {}
+    for code in range(0x21, 0x3000):
+        char = chr(code)
+        if char.isspace() or unicodedata.normalize("NFC", char) != char:
+            continue
+        (vector,) = oracle.embed(char)
+        key = tuple(vector)
+        opposite = seen.get(tuple(-x for x in vector))
+        if opposite is not None:
+            return f"{opposite} {char}"
+        seen.setdefault(key, char)
+    raise AssertionError("no cancelling pair found")
+
+
+class TestPooledPath:
+    DIMENSIONS = (1, 7, 256, 1000)
+
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_embed_and_pooled_equal_the_oracle(self, dimension):
+        rng = random.Random(dimension)
+        provider = HashedTrigramProvider(dimension)
+        oracle = ReferenceTrigramProvider(dimension)
+        for _ in range(150):
+            sentence = random_embedding_sentence(rng)
+            expected = oracle.embed(sentence)
+            assert provider.embed(sentence) == expected
+            pooled = provider._pooled(sentence)
+            assert pooled == mean_pool(provider.embed(sentence))
+            assert pooled == reference_mean_pool(expected)
+
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_relatedness_equals_the_first_formula(self, dimension):
+        rng = random.Random(100 + dimension)
+        provider = HashedTrigramProvider(dimension)
+        oracle = ReferenceTrigramProvider(dimension)
+        compared = 0
+        for _ in range(150):
+            s1, s2 = random_embedding_sentence(rng), random_embedding_sentence(rng)
+            a = reference_mean_pool(oracle.embed(s1))
+            b = reference_mean_pool(oracle.embed(s2))
+            if not any(a) or not any(b):
+                with pytest.raises(ZeroVector):
+                    relatedness(SentencePair(s1, s2), provider)
+                continue
+            assert relatedness(SentencePair(s1, s2), provider) == reference_cosine(a, b)
+            compared += 1
+        assert compared > 100
+
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_cancelling_sentence_is_a_zero_vector(self, dimension):
+        sentence = _cancelling_sentence(dimension)
+        provider = HashedTrigramProvider(dimension)
+        zero = [0.0] * dimension
+        assert provider._pooled(sentence) == zero
+        assert reference_mean_pool(ReferenceTrigramProvider(dimension).embed(sentence)) == zero
+        assert all(math.copysign(1.0, x) == 1.0 for x in provider._pooled(sentence))
+        with pytest.raises(ZeroVector):
+            relatedness(SentencePair(sentence, "كتاب"), provider)
+        with pytest.raises(ZeroVector):
+            relatedness(SentencePair("كتاب", sentence), provider)
+
+    def test_proxy_runs_the_pooled_path(self):
+        provider = HashedTrigramProvider()
+        proxy = _Forwarding(provider)
+        rng = random.Random(21)
+        for _ in range(30):
+            pair = SentencePair(random_embedding_sentence(rng), random_embedding_sentence(rng))
+            try:
+                direct = relatedness(pair, provider)
+            except ZeroVector:
+                continue
+            assert relatedness(pair, proxy) == direct
+        assert proxy.embed_calls == 0
+
+    def test_subclass_overriding_embed_is_pooled_through_it(self):
+        calls = []
+
+        class Reversed(HashedTrigramProvider):
+            def embed(self, sentence):
+                calls.append(sentence)
+                return super().embed(sentence)[::-1]
+
+        provider = Reversed(16)
+        oracle = ReferenceTrigramProvider(16)
+        s1, s2 = "كتاب جديد على الطاولة", "كتاب قديم"
+        expected = cosine(mean_pool(oracle.embed(s1)[::-1]), mean_pool(oracle.embed(s2)[::-1]))
+        assert relatedness(SentencePair(s1, s2), provider) == expected
+        assert calls == [s1, s2]
+        # through a forwarding proxy the subclass's embed is still the one used
+        proxy = _Forwarding(provider)
+        assert relatedness(SentencePair(s1, s2), proxy) == expected
+        assert proxy.embed_calls == 2
+
+    def test_subclass_overriding_token_vector_is_pooled_through_it(self):
+        class Doubled(HashedTrigramProvider):
+            def _token_vector(self, token):
+                return [2.0 * x for x in super()._token_vector(token)]
+
+        provider = Doubled(16)
+        oracle = ReferenceTrigramProvider(16)
+        s1, s2 = "كتب الولد", "قرأ الولد"
+        doubled = [[2.0 * x for x in v] for v in oracle.embed(s1)]
+        assert provider.embed(s1) == doubled
+        assert relatedness(SentencePair(s1, s2), provider) == cosine(
+            mean_pool(doubled), mean_pool(provider.embed(s2))
+        )
+
+    def test_empty_sentence_message_is_unchanged(self):
+        provider = HashedTrigramProvider()
+        for call in (provider.embed, provider._pooled,
+                     lambda s: relatedness(SentencePair(s, "كتاب"), provider),
+                     lambda s: relatedness(SentencePair("كتاب", s), provider)):
+            with pytest.raises(EmptySentence, match="^sentence has no tokens to embed$"):
+                call(" \t\n ")
+
+    def test_prefix_memo_stays_within_its_bound(self):
+        provider = HashedTrigramProvider(64)
+        oracle = ReferenceTrigramProvider(64)
+        watch = provider._prefix_states = _SizeWatch()
+        # 300 x 300 distinct two-character tokens: each is the head of one
+        # trigram, so more than the limit of distinct heads stream through
+        chars = [chr(0x4E00 + i) for i in range(300)]
+        tokens = [x + y for x in chars for y in chars]
+        assert len(tokens) > _PREFIX_MEMO_LIMIT
+        for start in range(0, len(tokens), 150):
+            sentence = " ".join(tokens[start:start + 150])
+            assert provider._pooled(sentence) == reference_mean_pool(oracle.embed(sentence))
+        assert watch.clears >= 1
+        assert watch.largest == _PREFIX_MEMO_LIMIT
+        assert len(watch) <= _PREFIX_MEMO_LIMIT
