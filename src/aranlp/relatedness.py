@@ -151,6 +151,8 @@ def mean_pool(vectors: Sequence[Vector]) -> Vector:
 
 
 _NORMAL_MIN = sys.float_info.min
+# compared, not converted: an int square beyond it takes the scaled path
+_NORMAL_MAX = sys.float_info.max
 
 
 def _any_non_finite(values) -> bool:
@@ -171,16 +173,17 @@ def _unit_scaled(v: Vector) -> Vector:
 def cosine(a: Vector, b: Vector) -> float:
     """dot(a, b) / (|a| |b|), clamped to [-1, 1] against rounding.
 
-    Where a squared norm is zero, subnormal or infinite, or the quotient is
-    not finite, both vectors are first divided by their largest absolute
-    component, so the largest square is 1; a NaN or infinite component
-    raises ``NonFiniteValue`` and an all-zero vector ``ZeroVector``.
+    Where a squared norm is zero, subnormal or beyond the float range, or
+    the quotient is not finite, both vectors are first divided by their
+    largest absolute component, so the largest square is 1; a NaN or
+    infinite component raises ``NonFiniteValue`` and an all-zero vector
+    ``ZeroVector``.
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"vector dimensions differ: {len(a)} vs {len(b)}")
     square_a = sum(x * x for x in a)
     square_b = sum(x * x for x in b)
-    if _NORMAL_MIN <= square_a < math.inf and _NORMAL_MIN <= square_b < math.inf:
+    if _NORMAL_MIN <= square_a <= _NORMAL_MAX and _NORMAL_MIN <= square_b <= _NORMAL_MAX:
         value = sum(x * y for x, y in zip(a, b)) / (math.sqrt(square_a) * math.sqrt(square_b))
         if math.isfinite(value):
             return max(-1.0, min(1.0, value))

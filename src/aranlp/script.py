@@ -66,21 +66,19 @@ _ARABIC_BLOCKS = (
 
 
 def _load_table() -> tuple[str, dict[str, str], dict[str, str]]:
-    """Parse data/buckwalter.tsv into (version, char->category, char->symbol)."""
-    version = "unversioned"
+    """Parse data/buckwalter.tsv into (version, char->category, char->symbol);
+    the version is the word after "version" in the header comment."""
+    lines = _tsv.packaged("buckwalter.tsv")
+    header = lines[0] if lines and lines[0].startswith("#") else ""
+    words = header.partition("version")[2].split()
+    version = words[0].rstrip(",") if words else ""
     categories: dict[str, str] = {}
     to_symbol: dict[str, str] = {}
-    for lineno, raw in enumerate(_tsv.packaged("buckwalter.tsv"), start=1):
-        line = raw.strip("\n")
-        if not line or line.startswith("#"):
-            if "version" in line:
-                version = line.split("version", 1)[1].strip().split()[0].rstrip(",") or version
-            continue
-        cp_hex, symbol, category = _tsv.fields(lineno, line, 3)
+    for _, (cp_hex, symbol, category) in _tsv.rows(lines, 3):
         char = chr(int(cp_hex, 16))
         categories[char] = category
         to_symbol[char] = symbol
-    return version, categories, to_symbol
+    return version or "unversioned", categories, to_symbol
 
 
 TABLE_VERSION, _CATEGORY, _AR2BW = _load_table()

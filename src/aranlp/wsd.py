@@ -121,9 +121,6 @@ class NgramSpan:
     def key(self) -> str:
         return " ".join(self.lemmas)
 
-    def overlaps_tokens(self, claimed: set[int]) -> bool:
-        return any(t in claimed for t in range(self.start, self.end))
-
 
 def _lemma(token: str, dictionary: MorphDictionary) -> str:
     """The lemma of the token's default solution, else its surface form."""
@@ -138,9 +135,10 @@ def lemmatize_tokens(tokens: Sequence[str], dictionary: MorphDictionary) -> list
 
 
 class _Lemmatizer:
-    """lemmatize_tokens over one dictionary with a token -> lemma memo; the
-    memo holds at most _LEMMA_MEMO_LIMIT (65,536) tokens and is cleared
-    when full."""
+    """The lemmas lemmatize_tokens gives, over one dictionary, through a
+    token -> lemma memo; disambiguate and OverlapVerifier lemmatize
+    through it.  The memo holds at most _LEMMA_MEMO_LIMIT (65,536) tokens
+    and is cleared when full."""
 
     def __init__(self, dictionary: MorphDictionary):
         self.dictionary = dictionary
@@ -159,50 +157,15 @@ class _Lemmatizer:
         return found
 
 
-def generate_ngrams(
-    tokens: Sequence[str],
-    lemmas: Sequence[str] | None = None,
-) -> list[NgramSpan]:
-    """All contiguous spans with 2 <= n <= min(5, token count), widest
-    first, left to right within each width (the multi-word scan order)."""
-    material = tuple(lemmas) if lemmas is not None else tuple(tokens)
-    if lemmas is not None and len(material) != len(tokens):
-        raise ValueError("lemmas must align one-to-one with tokens")
-    count = len(tokens)
-    spans = []
-    for n in range(min(MAX_NGRAM, count), 1, -1):
-        for start in range(count - n + 1):
-            spans.append(NgramSpan(start, start + n, material[start:start + n]))
-    return spans
-
-
 def lookup_multiword(
-    spans: Sequence[NgramSpan],
-    inventory: SenseInventory,
-) -> list[tuple[NgramSpan, tuple[Gloss, ...]]]:
-    """Accept spans whose lemma string keys the multi-word inventory,
-    widest n first, left to right; accepted spans consume their tokens so
-    overlapping narrower spans are skipped."""
-    accepted: list[tuple[NgramSpan, tuple[Gloss, ...]]] = []
-    claimed: set[int] = set()
-    for span in sorted(spans, key=lambda s: (-s.n, s.start)):
-        if span.n < 2:
-            continue
-        glosses = inventory.multiword.get(span.key)
-        if glosses is None or span.overlaps_tokens(claimed):
-            continue
-        accepted.append((span, glosses))
-        claimed.update(range(span.start, span.end))
-    accepted.sort(key=lambda item: item[0].start)
-    return accepted
-
-
-def _scan_multiword(
     lemmas: Sequence[str],
     inventory: SenseInventory,
 ) -> list[tuple[NgramSpan, tuple[Gloss, ...]]]:
-    """lookup_multiword(generate_ngrams(lemmas, lemmas), inventory), with
-    a span built only for a hit."""
+    """Accept the lemma n-grams (2 <= n <= 5) whose lemma string keys the
+    multi-word inventory, widest n first and left to right within an n;
+    an accepted span consumes its tokens, so an overlapping narrower span
+    is skipped.  Hits come back in token order, and a span is built only
+    for a hit."""
     accepted: list[tuple[NgramSpan, tuple[Gloss, ...]]] = []
     claimed: set[int] = set()
     count = len(lemmas)
@@ -365,7 +328,7 @@ def disambiguate(
         lemmatizer = _Lemmatizer(dictionary)
     lemmas = lemmatizer.lemmas(tokens)
 
-    multiword_hits = _scan_multiword(lemmas, inventory)
+    multiword_hits = lookup_multiword(lemmas, inventory)
     claimed: set[int] = set()
     for span, _ in multiword_hits:
         claimed.update(range(span.start, span.end))

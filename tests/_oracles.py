@@ -11,6 +11,7 @@ import re
 import unicodedata
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from aranlp.wsd import (
     KIND_ENTITY,
     KIND_MULTIWORD,
     KIND_SINGLEWORD,
+    MAX_NGRAM,
     AnnotatedSpan,
+    Gloss,
+    NgramSpan,
+    SenseInventory,
     _crop_to_unclaimed,
-    generate_ngrams,
     lemmatize_tokens,
-    lookup_multiword,
     select_sense,
     verify,
 )
@@ -142,17 +145,61 @@ def reference_overlap_score(context, gloss_text, dictionary, eps) -> float:
     return eps + (1.0 - 2.0 * eps) * covered
 
 
+def generate_ngrams(
+    tokens: Sequence[str],
+    lemmas: Sequence[str] | None = None,
+) -> list[NgramSpan]:
+    """All contiguous spans with 2 <= n <= min(5, token count), widest
+    first, left to right within each width (the multi-word scan order)."""
+    material = tuple(lemmas) if lemmas is not None else tuple(tokens)
+    if lemmas is not None and len(material) != len(tokens):
+        raise ValueError("lemmas must align one-to-one with tokens")
+    count = len(tokens)
+    spans = []
+    for n in range(min(MAX_NGRAM, count), 1, -1):
+        for start in range(count - n + 1):
+            spans.append(NgramSpan(start, start + n, material[start:start + n]))
+    return spans
+
+
+def overlaps_tokens(span: NgramSpan, claimed: set[int]) -> bool:
+    return any(t in claimed for t in range(span.start, span.end))
+
+
+def reference_lookup_multiword(
+    spans: Sequence[NgramSpan],
+    inventory: SenseInventory,
+) -> list[tuple[NgramSpan, tuple[Gloss, ...]]]:
+    """Multi-word lookup oracle, `wsd.lookup_multiword` as it was over a
+    span list: accept spans whose lemma string keys the multi-word
+    inventory, widest n first, left to right; accepted spans consume their
+    tokens so overlapping narrower spans are skipped."""
+    accepted: list[tuple[NgramSpan, tuple[Gloss, ...]]] = []
+    claimed: set[int] = set()
+    for span in sorted(spans, key=lambda s: (-s.n, s.start)):
+        if span.n < 2:
+            continue
+        glosses = inventory.multiword.get(span.key)
+        if glosses is None or overlaps_tokens(span, claimed):
+            continue
+        accepted.append((span, glosses))
+        claimed.update(range(span.start, span.end))
+    accepted.sort(key=lambda item: item[0].start)
+    return accepted
+
+
 def reference_disambiguate(sentence, inventory, ner_tagger, verifier, dictionary):
     """`wsd.disambiguate` as it was before the direct multi-word scan and
     the shared lemma memo: every token lemmatized without a memo, every
-    2..5-gram built as an NgramSpan and handed to lookup_multiword."""
+    2..5-gram built as an NgramSpan and handed to
+    reference_lookup_multiword."""
     tokens = sentence.split()
     if not tokens:
         return []
     lemmas = lemmatize_tokens(tokens, dictionary)
 
     ngrams = generate_ngrams(tokens, lemmas)
-    multiword_hits = lookup_multiword(ngrams, inventory)
+    multiword_hits = reference_lookup_multiword(ngrams, inventory)
     claimed: set[int] = set()
     for span, _ in multiword_hits:
         claimed.update(range(span.start, span.end))
@@ -541,6 +588,26 @@ def random_embedding_sentence(rng: random.Random) -> str:
     separators = [" ", "  ", "\t", "\n"]
     parts = [token() for _ in range(rng.randint(1, 12))]
     return "".join(part + rng.choice(separators) for part in parts).strip()
+
+
+def reference_load_table() -> tuple[str, dict[str, str], dict[str, str]]:
+    """`script._load_table` as it was before it read through `_tsv.rows`:
+    a hand-written line loop that takes the version from any comment line
+    naming one."""
+    version = "unversioned"
+    categories: dict[str, str] = {}
+    to_symbol: dict[str, str] = {}
+    for lineno, raw in enumerate(_tsv.packaged("buckwalter.tsv"), start=1):
+        line = raw.strip("\n")
+        if not line or line.startswith("#"):
+            if "version" in line:
+                version = line.split("version", 1)[1].strip().split()[0].rstrip(",") or version
+            continue
+        cp_hex, symbol, category = _tsv.fields(lineno, line, 3)
+        char = chr(int(cp_hex, 16))
+        categories[char] = category
+        to_symbol[char] = symbol
+    return version, categories, to_symbol
 
 
 def reference_ar_strip(text, *, diacritics=False, shaddah=False, digits=False,

@@ -25,7 +25,6 @@ from aranlp.wsd import (
     OracleVerifier,
     SenseInventory,
     annotate_corpus,
-    generate_ngrams,
     lookup_multiword,
     wsd_accuracy,
 )
@@ -257,7 +256,7 @@ def test_c09_descending_n_rule():
         },
         {},
     )
-    hits = lookup_multiword(generate_ngrams(tokens), inventory)
+    hits = lookup_multiword(tokens, inventory)
     assert [(s.start, s.end) for s, _ in hits] == [(0, 5), (6, 8)]
     five = next(s for s, _ in hits if s.n == 5)
     for span, _ in hits:
@@ -278,7 +277,7 @@ def test_c09_descending_n_rule():
         fixture = SenseInventory(
             {" ".join(sentence_tokens[s:e]): (Gloss("g", "x"),) for s, e in chosen}, {}
         )
-        accepted = lookup_multiword(generate_ngrams(sentence_tokens), fixture)
+        accepted = lookup_multiword(sentence_tokens, fixture)
         assert {(s.start, s.end) for s, _ in accepted} == oracle_assignment(chosen)
     report(9, "5-gram dominates overlapping sub-spans; oracle agreement on 200 fixtures")
 

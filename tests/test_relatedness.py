@@ -134,6 +134,11 @@ class TestCosine:
         assert cosine([3e200, 4e200], [4e200, 3e200]) == pytest.approx(0.96, abs=1e-15)
         # one vector out of range, the other ordinary
         assert cosine([1e300, 0.0], [1.0, 1.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        # int components whose squares no float holds
+        for big in (10**200, 10**400):
+            assert cosine([big, 1], [1, 1]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+            assert cosine([big, big], [-big, -big]) == -1.0
+        assert cosine([3 * 10**400, 4 * 10**400], [4, 3]) == pytest.approx(0.96, abs=1e-15)
 
     def test_squares_below_the_normal_range(self):
         assert cosine([1e-200], [1e-200]) == 1.0

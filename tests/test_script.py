@@ -17,7 +17,13 @@ from aranlp.script import (
     to_buckwalter_report,
 )
 
-from _oracles import LETTERS, VOWEL_CODEPOINTS, random_token, reference_ar_strip
+from _oracles import (
+    LETTERS,
+    VOWEL_CODEPOINTS,
+    random_token,
+    reference_ar_strip,
+    reference_load_table,
+)
 
 STRIP_FLAGS = ("diacritics", "shaddah", "digits", "unify_alif", "special_chars", "tatweel")
 ALL_FLAG_SETTINGS = [
@@ -214,3 +220,10 @@ class TestBuckwalter:
 
     def test_table_version_parsed(self):
         assert script.TABLE_VERSION != "unversioned"
+
+    def test_tables_equal_the_hand_written_loader(self):
+        version, categories, to_symbol = reference_load_table()
+        assert script.TABLE_VERSION == version == "1"
+        assert script._CATEGORY == categories
+        assert script._AR2BW == to_symbol
+        assert list(script._CATEGORY) == list(categories)

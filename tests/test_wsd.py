@@ -36,7 +36,6 @@ from aranlp.wsd import (
     annotate_corpus,
     disambiguate,
     format_annotated_corpus,
-    generate_ngrams,
     gold_gloss_ids,
     lemmatize_tokens,
     load_inventory,
@@ -49,9 +48,11 @@ from aranlp.wsd import (
 
 from _oracles import (
     LETTERS,
+    generate_ngrams,
     oracle_assignment,
     random_token,
     reference_disambiguate,
+    reference_lookup_multiword,
     reference_overlap_score,
     spans_overlap,
 )
@@ -118,14 +119,14 @@ class TestLookupMultiword:
     def test_fixture_bigram_matched(self, inventory, morph_dict):
         tokens = EXAMPLE.split()
         lemmas = lemmatize_tokens(tokens, morph_dict)
-        hits = lookup_multiword(generate_ngrams(tokens, lemmas), inventory)
+        hits = lookup_multiword(lemmas, inventory)
         assert len(hits) == 1
         span, glosses = hits[0]
         assert (span.start, span.end) == (4, 6)
         assert len(glosses) == 2
 
     def test_no_hits(self, inventory):
-        assert lookup_multiword(generate_ngrams(["قق", "شش"]), inventory) == []
+        assert lookup_multiword(["قق", "شش"], inventory) == []
 
     def test_wider_n_wins(self):
         inv = SenseInventory(
@@ -138,12 +139,12 @@ class TestLookupMultiword:
             {},
         )
         tokens = list("abcdefgh")
-        hits = lookup_multiword(generate_ngrams(tokens), inv)
+        hits = lookup_multiword(tokens, inv)
         assert [(s.start, s.end) for s, _ in hits] == [(0, 5), (6, 8)]
 
     def test_left_to_right_within_equal_n(self):
         inv = SenseInventory({"a b": (Gloss("g", "x"),), "b c": (Gloss("h", "x"),)}, {})
-        hits = lookup_multiword(generate_ngrams(list("abc")), inv)
+        hits = lookup_multiword(list("abc"), inv)
         assert [(s.start, s.end) for s, _ in hits] == [(0, 2)]
 
     def test_accepted_keys_always_in_inventory(self, inventory, morph_dict):
@@ -151,7 +152,7 @@ class TestLookupMultiword:
         for _ in range(50):
             tokens = [rng.choice(EXAMPLE.split()) for _ in range(rng.randint(0, 8))]
             lemmas = lemmatize_tokens(tokens, morph_dict)
-            for span, _ in lookup_multiword(generate_ngrams(tokens, lemmas), inventory):
+            for span, _ in lookup_multiword(lemmas, inventory):
                 assert span.key in inventory.multiword
 
     def test_exhaustive_assignment_oracle(self):
@@ -169,7 +170,7 @@ class TestLookupMultiword:
             inv = SenseInventory(
                 {" ".join(tokens[s:e]): (Gloss("g", "x"),) for s, e in chosen}, {}
             )
-            hits = lookup_multiword(generate_ngrams(tokens), inv)
+            hits = lookup_multiword(tokens, inv)
             assert {(s.start, s.end) for s, _ in hits} == oracle_assignment(
                 [tuple(span) for span in chosen]
             )
@@ -196,8 +197,8 @@ class TestScanMultiword:
                 else:
                     keys.add(" ".join(rng.choice(alphabet) for _ in range(n)))
             inv = SenseInventory({k: (Gloss(f"g{i}", "x"),) for i, k in enumerate(sorted(keys))}, {})
-            expected = lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
-            assert wsd._scan_multiword(lemmas, inv) == expected, (lemmas, keys)
+            expected = reference_lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
+            assert wsd.lookup_multiword(lemmas, inv) == expected, (lemmas, keys)
             lengths.add(len(lemmas))
             hit_counts[min(len(expected), 3)] += 1
             matching = [s for s in generate_ngrams(lemmas, lemmas) if s.key in keys]
@@ -209,8 +210,8 @@ class TestScanMultiword:
 
     def test_sentence_shorter_than_two_tokens(self):
         inv = SenseInventory({"a b": (Gloss("g", "x"),)}, {})
-        assert wsd._scan_multiword([], inv) == []
-        assert wsd._scan_multiword(["a"], inv) == []
+        assert wsd.lookup_multiword([], inv) == []
+        assert wsd.lookup_multiword(["a"], inv) == []
 
 
 class TestVerification:
@@ -416,6 +417,37 @@ class TestDisambiguate:
             AnnotatedSpan(2, 3, KIND_ENTITY, "ORG"),
         ]
 
+    def test_multiword_scan_is_reached_through_the_module(
+        self, monkeypatch, data_dir, inventory, morph_dict, gazetteer
+    ):
+        # A tracer that rebinds wsd.lookup_multiword sees every scan, with
+        # the sentence's lemmas and the inventory as positional arguments.
+        sentences = (data_dir / "wsd_sentences.txt").read_text("utf-8").splitlines()
+        sentences += ["", "   "]
+        tagger = GazetteerTagger(gazetteer)
+
+        def run():
+            verifier = OverlapVerifier(morph_dict)
+            return [disambiguate(s, inventory, tagger, verifier, morph_dict) for s in sentences]
+
+        expected = run()
+        live, calls = wsd.lookup_multiword, []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return live(*args, **kwargs)
+
+        monkeypatch.setattr(wsd, "lookup_multiword", recording)
+        assert run() == expected
+        non_empty = [s.split() for s in sentences if s.split()]
+        assert len(calls) == len(non_empty) == len(sentences) - 2
+        for tokens, (args, kwargs) in zip(non_empty, calls):
+            lemmas, passed = args
+            assert kwargs == {}
+            assert lemmas == lemmatize_tokens(tokens, morph_dict)
+            assert passed is inventory
+        assert any(live(*args) for args, _ in calls)
+
     def test_span_kinds_never_overlap(self, inventory, morph_dict, example_tagger):
         corpus = build_corpus(seed=7, sentence_count=10)
         tagger = GazetteerTagger(corpus.gazetteer)
@@ -518,7 +550,7 @@ class TestDisambiguateEquivalence:
                 a.n != b.n and spans_overlap((a.start, a.end), (b.start, b.end))
                 for a, b in itertools.combinations(keyed, 2)
             )
-            hits = lookup_multiword(generate_ngrams(tokens, lemmas), planted)
+            hits = lookup_multiword(lemmas, planted)
             matrix = run_tagger(tagger, tokens)
             entities = project_flat(decode_matrix(matrix), matrix.types)
             conflict += any(
