@@ -24,6 +24,7 @@ import sys
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Protocol
 
@@ -167,7 +168,11 @@ def _unit_scaled(v: Vector) -> Vector:
     scale = max(map(abs, v), default=0.0)
     if scale == 0.0:
         raise ZeroVector("cosine similarity is undefined for a zero vector")
-    return [x / scale for x in v]
+    try:
+        return [x / scale for x in v]
+    except OverflowError:
+        # a float over an int beyond the float range: divide exactly
+        return [float(Fraction(x) / scale) for x in v]
 
 
 def cosine(a: Vector, b: Vector) -> float:
@@ -181,8 +186,12 @@ def cosine(a: Vector, b: Vector) -> float:
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"vector dimensions differ: {len(a)} vs {len(b)}")
-    square_a = sum(x * x for x in a)
-    square_b = sum(x * x for x in b)
+    try:
+        square_a = sum(x * x for x in a)
+        square_b = sum(x * x for x in b)
+    except OverflowError:
+        # a float added to an int square beyond the float range
+        square_a = square_b = math.inf
     if _NORMAL_MIN <= square_a <= _NORMAL_MAX and _NORMAL_MIN <= square_b <= _NORMAL_MAX:
         value = sum(x * y for x, y in zip(a, b)) / (math.sqrt(square_a) * math.sqrt(square_b))
         if math.isfinite(value):

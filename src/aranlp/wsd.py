@@ -4,16 +4,19 @@ verification-based sense selection.
 
 Pipeline order per sentence:
 
-1. lemmatize every whitespace token with the morphology dictionary;
+1. lemmatize every whitespace token with the morphology dictionary
+   (lemmatize_tokens); an out-of-vocabulary token stands for its NFC
+   surface form;
 2. scan the lemma n-grams (2 <= n <= 5), n = 5 down to 2 and left to
    right within an n, and accept each whose lemma string keys the
    multi-word inventory and touches no token an earlier hit consumed;
-   accepted spans consume their tokens;
+   accepted spans consume their tokens (lookup_multiword);
 3. tag entities on the full sentence, flatten overlaps, and crop entity
    spans to tokens not already consumed;
 4. look up remaining tokens as single words in the single-word inventory;
-5. score every (context, gloss) pair with the verifier and keep the gloss
-   with the highest positive probability (ties: smallest gloss_id).
+5. for each multi-word and single-word hit, in that order, score every
+   (context, gloss) pair with the verifier and keep the gloss with the
+   highest positive probability (ties: smallest gloss_id).
 
 Tokens with no glosses and no entity tag are omitted from the output.
 """
@@ -99,74 +102,47 @@ def load_inventory(source: str | Path) -> SenseInventory:
     )
 
 
-@dataclass(frozen=True)
-class NgramSpan:
-    start: int
-    end: int
-    lemmas: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError(f"invalid span ({self.start}, {self.end})")
-        if not 1 <= self.n <= MAX_NGRAM:
-            raise ValueError(f"n must be 1..{MAX_NGRAM}, got {self.n}")
-        if len(self.lemmas) != self.n:
-            raise ValueError("lemmas length must equal the span width")
-
-    @property
-    def n(self) -> int:
-        return self.end - self.start
-
-    @property
-    def key(self) -> str:
-        return " ".join(self.lemmas)
-
-
 def _lemma(token: str, dictionary: MorphDictionary) -> str:
-    """The lemma of the token's default solution, else its surface form."""
+    """The lemma of the token's default solution, else its NFC surface
+    form, the normal form of inventory keys and dictionary lookups."""
     tagged = analyze(token, dictionary)
-    return tagged.solution.lemma if tagged.solution else token
-
-
-def lemmatize_tokens(tokens: Sequence[str], dictionary: MorphDictionary) -> list[str]:
-    """One lemma per token via dictionary lookup; out-of-vocabulary tokens
-    keep their surface form."""
-    return [_lemma(token, dictionary) for token in tokens]
+    return tagged.solution.lemma if tagged.solution else unicodedata.normalize("NFC", token)
 
 
 class _Lemmatizer:
-    """The lemmas lemmatize_tokens gives, over one dictionary, through a
-    token -> lemma memo; disambiguate and OverlapVerifier lemmatize
-    through it.  The memo holds at most _LEMMA_MEMO_LIMIT (65,536) tokens
-    and is cleared when full."""
+    """A dictionary and its bounded token -> lemma memo, which holds at
+    most _LEMMA_MEMO_LIMIT (65,536) tokens and is cleared when full."""
 
     def __init__(self, dictionary: MorphDictionary):
         self.dictionary = dictionary
         self.memo: dict[str, str] = {}
 
-    def lemmas(self, tokens: Sequence[str]) -> list[str]:
-        memo = self.memo
-        found = []
-        for token in tokens:
-            lemma = memo.get(token)
-            if lemma is None:
-                if len(memo) >= _LEMMA_MEMO_LIMIT:
-                    memo.clear()
-                lemma = memo[token] = _lemma(token, self.dictionary)
-            found.append(lemma)
-        return found
+
+def lemmatize_tokens(tokens: Sequence[str], lemmatizer: _Lemmatizer) -> list[str]:
+    """One _lemma per token, through the lemmatizer's memo, so a token is
+    analyzed once while it stays in the memo."""
+    memo = lemmatizer.memo
+    found = []
+    for token in tokens:
+        lemma = memo.get(token)
+        if lemma is None:
+            if len(memo) >= _LEMMA_MEMO_LIMIT:
+                memo.clear()
+            lemma = memo[token] = _lemma(token, lemmatizer.dictionary)
+        found.append(lemma)
+    return found
 
 
 def lookup_multiword(
     lemmas: Sequence[str],
     inventory: SenseInventory,
-) -> list[tuple[NgramSpan, tuple[Gloss, ...]]]:
-    """Accept the lemma n-grams (2 <= n <= 5) whose lemma string keys the
-    multi-word inventory, widest n first and left to right within an n;
-    an accepted span consumes its tokens, so an overlapping narrower span
-    is skipped.  Hits come back in token order, and a span is built only
-    for a hit."""
-    accepted: list[tuple[NgramSpan, tuple[Gloss, ...]]] = []
+) -> list[tuple[int, int, tuple[Gloss, ...]]]:
+    """(start, end, glosses) for each lemma n-gram (2 <= n <= 5) whose
+    lemma string keys the multi-word inventory, accepted widest n first
+    and left to right within an n; an accepted span consumes its tokens,
+    so an overlapping narrower span is skipped.  Hits come back sorted by
+    start."""
+    accepted: list[tuple[int, int, tuple[Gloss, ...]]] = []
     claimed: set[int] = set()
     count = len(lemmas)
     for n in range(min(MAX_NGRAM, count), 1, -1):
@@ -175,9 +151,10 @@ def lookup_multiword(
             glosses = inventory.multiword.get(" ".join(lemmas[start:end]))
             if glosses is None or not claimed.isdisjoint(range(start, end)):
                 continue
-            accepted.append((NgramSpan(start, end, tuple(lemmas[start:end])), glosses))
+            accepted.append((start, end, glosses))
             claimed.update(range(start, end))
-    accepted.sort(key=lambda item: item[0].start)
+    # accepted spans are disjoint, so no two share a start
+    accepted.sort()
     return accepted
 
 
@@ -247,11 +224,11 @@ class OverlapVerifier:
         self._last_context: tuple[str, set[str]] = ("", set())
 
     def score(self, context: str, gloss: Gloss) -> float:
-        lemmas = self._lemmatizer.lemmas
+        lemmatizer = self._lemmatizer
         if self._last_context[0] != context:
-            self._last_context = (context, set(lemmas(context.split())))
+            self._last_context = (context, set(lemmatize_tokens(context.split(), lemmatizer)))
         context_lemmas = self._last_context[1]
-        gloss_lemmas = set(lemmas(gloss.text.split()))
+        gloss_lemmas = set(lemmatize_tokens(gloss.text.split(), lemmatizer))
         ratio = (
             len(context_lemmas & gloss_lemmas) / len(gloss_lemmas)
             if gloss_lemmas
@@ -326,12 +303,17 @@ def disambiguate(
     lemmatizer = getattr(verifier, "_lemmatizer", None)
     if not (isinstance(lemmatizer, _Lemmatizer) and lemmatizer.dictionary is dictionary):
         lemmatizer = _Lemmatizer(dictionary)
-    lemmas = lemmatizer.lemmas(tokens)
+    lemmas = lemmatize_tokens(tokens, lemmatizer)
 
-    multiword_hits = lookup_multiword(lemmas, inventory)
+    # (start, end, kind, glosses): multi-word hits first, then the
+    # single-word hits on tokens no hit or entity claimed.
+    hits = [
+        (start, end, KIND_MULTIWORD, glosses)
+        for start, end, glosses in lookup_multiword(lemmas, inventory)
+    ]
     claimed: set[int] = set()
-    for span, _ in multiword_hits:
-        claimed.update(range(span.start, span.end))
+    for start, end, _, _ in hits:
+        claimed.update(range(start, end))
 
     matrix = run_tagger(ner_tagger, tokens)
     entity_spans = _crop_to_unclaimed(
@@ -340,25 +322,19 @@ def disambiguate(
     for span in entity_spans:
         claimed.update(range(span.start, span.end))
 
-    single_hits = [
-        (i, inventory.singleword[lemmas[i]])
-        for i in range(len(tokens))
-        if i not in claimed and lemmas[i] in inventory.singleword
-    ]
+    singleword = inventory.singleword
+    hits.extend(
+        (i, i + 1, KIND_SINGLEWORD, singleword[lemma])
+        for i, lemma in enumerate(lemmas)
+        if i not in claimed and lemma in singleword
+    )
 
     annotations = [
         AnnotatedSpan(s.start, s.end, KIND_ENTITY, s.type) for s in entity_spans
     ]
-    for span, glosses in multiword_hits:
+    for start, end, kind, glosses in hits:
         pairs = [verify(sentence, g, verifier) for g in glosses]
-        annotations.append(
-            AnnotatedSpan(span.start, span.end, KIND_MULTIWORD, select_sense(pairs).gloss_id)
-        )
-    for index, glosses in single_hits:
-        pairs = [verify(sentence, g, verifier) for g in glosses]
-        annotations.append(
-            AnnotatedSpan(index, index + 1, KIND_SINGLEWORD, select_sense(pairs).gloss_id)
-        )
+        annotations.append(AnnotatedSpan(start, end, kind, select_sense(pairs).gloss_id))
     annotations.sort(key=lambda a: (a.start, a.end, a.kind))
     return annotations
 

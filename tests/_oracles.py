@@ -12,6 +12,7 @@ import unicodedata
 import warnings
 from collections import Counter
 from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,10 +27,9 @@ from aranlp.wsd import (
     MAX_NGRAM,
     AnnotatedSpan,
     Gloss,
-    NgramSpan,
     SenseInventory,
     _crop_to_unclaimed,
-    lemmatize_tokens,
+    _lemma,
     select_sense,
     verify,
 )
@@ -132,17 +132,46 @@ def reference_gazetteer_rows(gazetteer, types, tokens, max_tokens=5) -> dict:
 def reference_overlap_score(context, gloss_text, dictionary, eps) -> float:
     """Overlap-verifier oracle: no cache of any kind; both texts are
     analyzed token by token on every call, and a token without a solution
-    stands for itself."""
+    stands for its NFC form."""
     def lemma_set(text):
         found = set()
         for token in text.split():
             solution = morphology.analyze(token, dictionary).solution
-            found.add(token if solution is None else solution.lemma)
+            found.add(unicodedata.normalize("NFC", token) if solution is None else solution.lemma)
         return found
 
     context_lemmas, gloss_lemmas = lemma_set(context), lemma_set(gloss_text)
     covered = len(gloss_lemmas & context_lemmas) / len(gloss_lemmas) if gloss_lemmas else 0.0
     return eps + (1.0 - 2.0 * eps) * covered
+
+
+def reference_lemmatize_tokens(tokens: Sequence[str], dictionary: MorphDictionary) -> list[str]:
+    """`wsd.lemmatize_tokens` as it was before the lemma memo: one
+    `wsd._lemma` per token, each analyzed afresh."""
+    return [_lemma(token, dictionary) for token in tokens]
+
+
+@dataclass(frozen=True)
+class NgramSpan:
+    start: int
+    end: int
+    lemmas: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.start < 0:
+            raise ValueError(f"invalid span ({self.start}, {self.end})")
+        if not 1 <= self.n <= MAX_NGRAM:
+            raise ValueError(f"n must be 1..{MAX_NGRAM}, got {self.n}")
+        if len(self.lemmas) != self.n:
+            raise ValueError("lemmas length must equal the span width")
+
+    @property
+    def n(self) -> int:
+        return self.end - self.start
+
+    @property
+    def key(self) -> str:
+        return " ".join(self.lemmas)
 
 
 def generate_ngrams(
@@ -192,11 +221,12 @@ def reference_disambiguate(sentence, inventory, ner_tagger, verifier, dictionary
     """`wsd.disambiguate` as it was before the direct multi-word scan and
     the shared lemma memo: every token lemmatized without a memo, every
     2..5-gram built as an NgramSpan and handed to
-    reference_lookup_multiword."""
+    reference_lookup_multiword, and multi-word and single-word hits
+    verified in two loops."""
     tokens = sentence.split()
     if not tokens:
         return []
-    lemmas = lemmatize_tokens(tokens, dictionary)
+    lemmas = reference_lemmatize_tokens(tokens, dictionary)
 
     ngrams = generate_ngrams(tokens, lemmas)
     multiword_hits = reference_lookup_multiword(ngrams, inventory)

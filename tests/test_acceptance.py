@@ -257,11 +257,11 @@ def test_c09_descending_n_rule():
         {},
     )
     hits = lookup_multiword(tokens, inventory)
-    assert [(s.start, s.end) for s, _ in hits] == [(0, 5), (6, 8)]
-    five = next(s for s, _ in hits if s.n == 5)
-    for span, _ in hits:
-        if span is not five:
-            assert span.end <= five.start or span.start >= five.end
+    assert [(s, e) for s, e, _ in hits] == [(0, 5), (6, 8)]
+    five = next((s, e) for s, e, _ in hits if e - s == 5)
+    for start, end, _ in hits:
+        if (start, end) != five:
+            assert end <= five[0] or start >= five[1]
 
     rng = random.Random(906)
     for _ in range(200):
@@ -278,7 +278,7 @@ def test_c09_descending_n_rule():
             {" ".join(sentence_tokens[s:e]): (Gloss("g", "x"),) for s, e in chosen}, {}
         )
         accepted = lookup_multiword(sentence_tokens, fixture)
-        assert {(s.start, s.end) for s, _ in accepted} == oracle_assignment(chosen)
+        assert {(s, e) for s, e, _ in accepted} == oracle_assignment(chosen)
     report(9, "5-gram dominates overlapping sub-spans; oracle agreement on 200 fixtures")
 
 

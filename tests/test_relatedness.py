@@ -139,6 +139,10 @@ class TestCosine:
             assert cosine([big, 1], [1, 1]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
             assert cosine([big, big], [-big, -big]) == -1.0
         assert cosine([3 * 10**400, 4 * 10**400], [4, 3]) == pytest.approx(0.96, abs=1e-15)
+        # a float beside an int whose square no float holds
+        for a in ([10**200, 1.0], [10**400, 1.0], [1.0, 10**400]):
+            assert cosine(a, [1, 1]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+            assert cosine([1, 1], a) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_squares_below_the_normal_range(self):
         assert cosine([1e-200], [1e-200]) == 1.0

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -37,7 +39,6 @@ from aranlp.wsd import (
     disambiguate,
     format_annotated_corpus,
     gold_gloss_ids,
-    lemmatize_tokens,
     load_inventory,
     lookup_multiword,
     read_annotated_corpus,
@@ -48,10 +49,12 @@ from aranlp.wsd import (
 
 from _oracles import (
     LETTERS,
+    NgramSpan,
     generate_ngrams,
     oracle_assignment,
     random_token,
     reference_disambiguate,
+    reference_lemmatize_tokens,
     reference_lookup_multiword,
     reference_overlap_score,
     spans_overlap,
@@ -111,18 +114,18 @@ class TestGenerateNgrams:
 
     def test_span_start_must_not_be_negative(self):
         with pytest.raises(ValueError, match=r"invalid span \(-1, 1\)"):
-            wsd.NgramSpan(-1, 1, ("a", "b"))
-        assert wsd.NgramSpan(0, 2, ("a", "b")).n == 2
+            NgramSpan(-1, 1, ("a", "b"))
+        assert NgramSpan(0, 2, ("a", "b")).n == 2
 
 
 class TestLookupMultiword:
     def test_fixture_bigram_matched(self, inventory, morph_dict):
         tokens = EXAMPLE.split()
-        lemmas = lemmatize_tokens(tokens, morph_dict)
+        lemmas = reference_lemmatize_tokens(tokens, morph_dict)
         hits = lookup_multiword(lemmas, inventory)
         assert len(hits) == 1
-        span, glosses = hits[0]
-        assert (span.start, span.end) == (4, 6)
+        start, end, glosses = hits[0]
+        assert (start, end) == (4, 6)
         assert len(glosses) == 2
 
     def test_no_hits(self, inventory):
@@ -140,20 +143,20 @@ class TestLookupMultiword:
         )
         tokens = list("abcdefgh")
         hits = lookup_multiword(tokens, inv)
-        assert [(s.start, s.end) for s, _ in hits] == [(0, 5), (6, 8)]
+        assert [(s, e) for s, e, _ in hits] == [(0, 5), (6, 8)]
 
     def test_left_to_right_within_equal_n(self):
         inv = SenseInventory({"a b": (Gloss("g", "x"),), "b c": (Gloss("h", "x"),)}, {})
         hits = lookup_multiword(list("abc"), inv)
-        assert [(s.start, s.end) for s, _ in hits] == [(0, 2)]
+        assert [(s, e) for s, e, _ in hits] == [(0, 2)]
 
     def test_accepted_keys_always_in_inventory(self, inventory, morph_dict):
         rng = random.Random(3)
         for _ in range(50):
             tokens = [rng.choice(EXAMPLE.split()) for _ in range(rng.randint(0, 8))]
-            lemmas = lemmatize_tokens(tokens, morph_dict)
-            for span, _ in lookup_multiword(lemmas, inventory):
-                assert span.key in inventory.multiword
+            lemmas = reference_lemmatize_tokens(tokens, morph_dict)
+            for start, end, _ in lookup_multiword(lemmas, inventory):
+                assert " ".join(lemmas[start:end]) in inventory.multiword
 
     def test_exhaustive_assignment_oracle(self):
         rng = random.Random(17)
@@ -171,7 +174,7 @@ class TestLookupMultiword:
                 {" ".join(tokens[s:e]): (Gloss("g", "x"),) for s, e in chosen}, {}
             )
             hits = lookup_multiword(tokens, inv)
-            assert {(s.start, s.end) for s, _ in hits} == oracle_assignment(
+            assert {(s, e) for s, e, _ in hits} == oracle_assignment(
                 [tuple(span) for span in chosen]
             )
 
@@ -197,7 +200,8 @@ class TestScanMultiword:
                 else:
                     keys.add(" ".join(rng.choice(alphabet) for _ in range(n)))
             inv = SenseInventory({k: (Gloss(f"g{i}", "x"),) for i, k in enumerate(sorted(keys))}, {})
-            expected = reference_lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
+            spans = reference_lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
+            expected = [(span.start, span.end, glosses) for span, glosses in spans]
             assert wsd.lookup_multiword(lemmas, inv) == expected, (lemmas, keys)
             lengths.add(len(lemmas))
             hit_counts[min(len(expected), 3)] += 1
@@ -293,7 +297,8 @@ class TestOverlapVerifierCaches:
                 for verifier in verifiers:
                     last, last_lemmas = verifier._last_context
                     assert last == context
-                    assert last_lemmas == set(lemmatize_tokens(context.split(), morph_dict))
+                    context_lemmas = reference_lemmatize_tokens(context.split(), morph_dict)
+                    assert last_lemmas == set(context_lemmas)
         # The floor, the ceiling and partial overlaps all occurred.
         assert {0.01, 0.99, 0.125, 0.875} <= scores
         assert len(scores) > 8
@@ -444,9 +449,61 @@ class TestDisambiguate:
         for tokens, (args, kwargs) in zip(non_empty, calls):
             lemmas, passed = args
             assert kwargs == {}
-            assert lemmas == lemmatize_tokens(tokens, morph_dict)
+            assert lemmas == reference_lemmatize_tokens(tokens, morph_dict)
             assert passed is inventory
         assert any(live(*args) for args, _ in calls)
+
+    def test_lemmatizer_is_reached_through_the_module(
+        self, monkeypatch, data_dir, inventory, morph_dict, gazetteer
+    ):
+        # A tracer that rebinds wsd.lemmatize_tokens times every
+        # lemmatization: disambiguate's, once per sentence, and the
+        # verifier's, with the tokens and the shared lemmatizer as
+        # positional arguments.
+        sentences = (data_dir / "wsd_sentences.txt").read_text("utf-8").splitlines()
+        sentences += ["", "   "]
+        tagger = GazetteerTagger(gazetteer)
+
+        def run(verifier):
+            return [disambiguate(s, inventory, tagger, verifier, morph_dict) for s in sentences]
+
+        expected = run(OverlapVerifier(morph_dict))
+        live, calls = wsd.lemmatize_tokens, []
+
+        def recording(*args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, args, kwargs))
+            return live(*args, **kwargs)
+
+        monkeypatch.setattr(wsd, "lemmatize_tokens", recording)
+        verifier = OverlapVerifier(morph_dict)
+        assert run(verifier) == expected
+        assert {caller for caller, _, _ in calls} == {"disambiguate", "score"}
+        assert all(
+            kwargs == {} and len(args) == 2 and args[1] is verifier._lemmatizer
+            for _, args, kwargs in calls
+        )
+        from_disambiguate = [args[0] for caller, args, _ in calls if caller == "disambiguate"]
+        non_empty = [s.split() for s in sentences if s.split()]
+        assert from_disambiguate == non_empty
+        assert len(non_empty) == len(sentences) - 2
+
+    def test_an_out_of_vocabulary_token_matches_in_either_normal_form(self):
+        # The dictionary lacks the token; the inventory key is NFC.
+        nfc, nfd = "\u0623\u0628", "\u0627\u0654\u0628"
+        assert unicodedata.normalize("NFC", nfd) == nfc != nfd
+        dictionary = _identity_dict()
+        assert analyze(nfd, dictionary).source == SOURCE_OOV
+        inv = SenseInventory({}, {nfc: (Gloss("g1", "x"),)})
+        tagger = GazetteerTagger({"a b": "ORG"})
+        expected = [AnnotatedSpan(0, 1, KIND_SINGLEWORD, "g1")]
+        for token in (nfc, nfd):
+            assert wsd._lemma(token, dictionary) == nfc
+            out = disambiguate(token, inv, tagger, OracleVerifier({"g1"}), dictionary)
+            assert out == expected, ascii(token)
+        # The verifier's lemmas follow the same policy.
+        verifier = OverlapVerifier(dictionary)
+        assert verifier.score(nfd, Gloss("g", nfc)) == pytest.approx(0.99)
+        assert verifier.score(nfc, Gloss("g", nfd)) == pytest.approx(0.99)
 
     def test_span_kinds_never_overlap(self, inventory, morph_dict, example_tagger):
         corpus = build_corpus(seed=7, sentence_count=10)
@@ -498,7 +555,7 @@ def _planted_case(morph_dict, inventory, seed=59, sentence_count=400):
             phrases.append(window[offset:offset + width])
     multiword = dict(inventory.multiword)
     for number, phrase in enumerate(phrases):
-        key = " ".join(lemmatize_tokens(phrase, morph_dict))
+        key = " ".join(reference_lemmatize_tokens(phrase, morph_dict))
         glosses = tuple(
             Gloss(f"p{number}-{k}", " ".join(rng.sample(vocabulary, rng.randint(1, 4))))
             for k in range(rng.randint(1, 3))
@@ -544,7 +601,7 @@ class TestDisambiguateEquivalence:
         widths_overlap = conflict = oov = lengths = 0
         for sentence in sentences:
             tokens = sentence.split()
-            lemmas = lemmatize_tokens(tokens, morph_dict)
+            lemmas = reference_lemmatize_tokens(tokens, morph_dict)
             keyed = [s for s in generate_ngrams(tokens, lemmas) if s.key in planted.multiword]
             widths_overlap += any(
                 a.n != b.n and spans_overlap((a.start, a.end), (b.start, b.end))
@@ -554,8 +611,8 @@ class TestDisambiguateEquivalence:
             matrix = run_tagger(tagger, tokens)
             entities = project_flat(decode_matrix(matrix), matrix.types)
             conflict += any(
-                spans_overlap((h.start, h.end), (e.start, e.end))
-                for h, _ in hits for e in entities
+                spans_overlap((start, end), (e.start, e.end))
+                for start, end, _ in hits for e in entities
             )
             oov += any(analyze(t, morph_dict).source == SOURCE_OOV for t in tokens)
             lengths += not tokens
@@ -587,7 +644,7 @@ class TestDisambiguateEquivalence:
             # dictionary) to the verifier alone.
             memo = verifier._lemmatizer.memo
             assert memo
-            assert list(memo.values()) == lemmatize_tokens(list(memo), other)
+            assert list(memo.values()) == reference_lemmatize_tokens(list(memo), other)
 
     @pytest.mark.parametrize("verifier_class", ["raises", "out-of-range"])
     def test_a_failing_verifier_fails_alike(self, verifier_class, morph_dict, inventory,
