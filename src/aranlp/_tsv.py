@@ -12,9 +12,12 @@ Every resource file, flat or block, follows the same rules:
 A flat file (:func:`rows`) holds one record per data line.  A block file
 (:func:`blocks`) holds one record per block: a run of data lines ended
 by a blank line or the end of the file.  A comment line inside or
-between blocks neither ends nor starts a block.  A row with the wrong
-number of fields raises :class:`MalformedRow`; checks on the fields
-themselves belong to each loader.
+between blocks neither ends nor starts a block.  A block of the lone
+line ``EMPTY_BLOCK`` (``-``) is an empty record, so a record with no
+lines survives a round trip; :func:`format_blocks` is the one writer of
+block files and applies the same rule.  A row with the wrong number of
+fields raises :class:`MalformedRow`; checks on the fields themselves
+belong to each loader.
 
 Loaders that build many container objects run under
 :func:`collector_paused`.  While a file loads, the heap only grows, so
@@ -32,12 +35,16 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import itertools
 import unicodedata
 from collections.abc import Collection, Iterable, Iterator
 from importlib import resources
 from pathlib import Path
 
 from .errors import MalformedRow
+
+# The lone line of a block file's block for an empty record.
+EMPTY_BLOCK = "-"
 
 
 def packaged(name: str) -> list[str]:
@@ -123,16 +130,24 @@ def rows(
 
 
 def blocks(source: str | Path | Iterable[str]) -> Iterator[list[tuple[int, str]]]:
-    """Yield every block of a block file as its ``(lineno, line)`` pairs."""
+    """Yield every block of a block file as its ``(lineno, line)`` pairs;
+    the block of the lone line EMPTY_BLOCK comes out as ``[]``."""
     block: list[tuple[int, str]] = []
-    for lineno, line in enumerate(_lines(source), start=1):
+    # A blank line after the last one ends an unterminated last block.
+    for lineno, line in enumerate(itertools.chain(_lines(source), [""]), start=1):
         line = line.rstrip("\n")
         if line.startswith("#"):
             continue
         if line.strip():
             block.append((lineno, line))
         elif block:
-            yield block
+            yield [] if len(block) == 1 and block[0][1].strip() == EMPTY_BLOCK else block
             block = []
-    if block:
-        yield block
+
+
+def format_blocks(records: Iterable[str]) -> str:
+    """Inverse of :func:`blocks`: the records (each its lines joined by
+    ``\\n``) separated by one blank line, an empty record written as
+    EMPTY_BLOCK, and a final line break unless there are no records."""
+    text = "\n\n".join(record or EMPTY_BLOCK for record in records)
+    return text + "\n" if text else ""

@@ -51,11 +51,11 @@ def _record(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, default=vars)
 
 
-def _print_joined(items, sep: str = "\n") -> None:
-    """Print the items joined by sep; print nothing at all for no items."""
+def _print_joined(items) -> None:
+    """Print the items one per line; print nothing at all for no items."""
     items = list(items)
     if items:
-        print(sep.join(items))
+        print("\n".join(items))
 
 
 # --- translit / strip / split / match / jaccard / dedup -------------------
@@ -223,15 +223,6 @@ def _load_gazetteer_tagger(args) -> ner.GazetteerTagger:
     return ner.GazetteerTagger(resources.load("gazetteer", args.gazetteer), _load_types(args))
 
 
-def _matrix_block(matrix: ner.LabelMatrix) -> str:
-    """The token line, then one `TYPE<TAB>label label ...` line per type;
-    a sentence with no tokens is the lone NO_SPANS line of span files."""
-    if not matrix.tokens:
-        return ner.NO_SPANS
-    rows = (f"{type_name}\t{' '.join(row)}" for type_name, row in matrix.labels.items())
-    return "\n".join([" ".join(matrix.tokens), *rows])
-
-
 def _print_matrices(matrices: list[ner.LabelMatrix], args) -> None:
     """`ner tag` and `ner decode` output: one JSON record per sentence, the
     label matrices, or the decoded span file."""
@@ -240,7 +231,7 @@ def _print_matrices(matrices: list[ner.LabelMatrix], args) -> None:
             _record({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices
         )
     elif getattr(args, "output", "spans") == "matrix":
-        _print_joined(map(_matrix_block, matrices), "\n\n")
+        sys.stdout.write(ner.format_matrix_file(matrices))
     else:
         sys.stdout.write(ner.format_span_file([ner.decode_matrix(m) for m in matrices]))
 
@@ -251,27 +242,8 @@ def _cmd_ner_tag(args) -> int:
     return 0
 
 
-def _parse_matrix_blocks(lines) -> list[ner.LabelMatrix]:
-    """Per block, the token line, then one `TYPE<TAB>label label ...` line
-    per type; a block of the lone line NO_SPANS has no tokens.  An invalid
-    matrix is reported at its token line."""
-    matrices = []
-    for (lineno, tokens), *row_lines in _tsv.blocks(lines):
-        if not row_lines and tokens.strip() == ner.NO_SPANS:
-            tokens = ""
-        rows: dict[str, tuple[str, ...]] = {}
-        for row_lineno, line in row_lines:
-            type_name, labels = _tsv.fields(row_lineno, line, 2, "`TYPE<TAB>label label ...`")
-            rows[type_name.strip()] = tuple(labels.split())
-        try:
-            matrices.append(ner.LabelMatrix(tuple(tokens.split()), rows))
-        except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from None
-    return matrices
-
-
 def _cmd_ner_decode(args) -> int:
-    _print_matrices(_parse_matrix_blocks(_read_lines(args)), args)
+    _print_matrices(ner.read_matrix_file(_read_lines(args)), args)
     return 0
 
 
@@ -551,7 +523,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8")
-        sys.stderr.reconfigure(encoding="utf-8")
+    for stream in (sys.stdin, sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8")
     sys.exit(dispatch(sys.argv[1:]))

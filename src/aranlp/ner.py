@@ -25,9 +25,6 @@ _IOB_LABEL_SET = frozenset(IOB_LABELS)
 
 GAZETTEER_MAX_TOKENS = 5
 
-# The lone line of a span-file block for a sentence with no spans.
-NO_SPANS = "-"
-
 
 def load_entity_types(source: str | Path | Iterable[str]) -> tuple[str, ...]:
     """A type-list file: one entity type name per line, stripped."""
@@ -338,22 +335,46 @@ def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
 
 def read_span_file(source: str | Path) -> list[list[EntitySpan]]:
     """Span file: one block per sentence, one `start<TAB>end<TAB>type`
-    line per span; a block holding the single line NO_SPANS (`-`) is a
-    sentence with no entities."""
+    line per span; a sentence with no entities is the block file's empty
+    record (the lone line `-`)."""
     return [
-        [
-            _tsv.span_row(lineno, line, 3, EntitySpan)
-            for lineno, line in block
-            if line.strip() != NO_SPANS
-        ]
+        [_tsv.span_row(lineno, line, 3, EntitySpan) for lineno, line in block]
         for block in _tsv.blocks(source)
     ]
 
 
 def format_span_file(sentences: Sequence[Sequence[EntitySpan]]) -> str:
     """Inverse of read_span_file."""
-    blocks = [
-        "\n".join(f"{s.start}\t{s.end}\t{s.type}" for s in spans) or NO_SPANS
-        for spans in sentences
-    ]
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return _tsv.format_blocks(
+        "\n".join(f"{s.start}\t{s.end}\t{s.type}" for s in spans) for spans in sentences
+    )
+
+
+def read_matrix_file(source: str | Path | Iterable[str]) -> list[LabelMatrix]:
+    """Label-matrix file: per sentence a block of the token line, then one
+    `TYPE<TAB>label label ...` line per type; a sentence with no tokens is
+    the block file's empty record.  An invalid matrix is reported at its
+    token line."""
+    matrices = []
+    for block in _tsv.blocks(source):
+        # an empty record is a token line without tokens
+        (lineno, tokens), *row_lines = block or [(0, "")]
+        rows: dict[str, tuple[str, ...]] = {}
+        for row_lineno, line in row_lines:
+            type_name, labels = _tsv.fields(row_lineno, line, 2, "`TYPE<TAB>label label ...`")
+            rows[type_name.strip()] = tuple(labels.split())
+        try:
+            matrices.append(LabelMatrix(tuple(tokens.split()), rows))
+        except ValueError as exc:
+            raise MalformedRow(lineno, str(exc)) from None
+    return matrices
+
+
+def format_matrix_file(matrices: Sequence[LabelMatrix]) -> str:
+    """Inverse of read_matrix_file; a matrix with no tokens is written as
+    an empty record, whatever its type rows."""
+    return _tsv.format_blocks(
+        "\n".join([" ".join(m.tokens), *(f"{t}\t{' '.join(row)}" for t, row in m.labels.items())])
+        if m.tokens else ""
+        for m in matrices
+    )

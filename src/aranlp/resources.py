@@ -3,7 +3,9 @@
 Resources (dictionaries, gazetteers, inventories, pair files) live under
 one root directory: ``./resources`` by default, overridable with the
 ``ARANLP_RESOURCES`` environment variable.  Each resource loads at most
-once per process; concurrent first users block until the loader finishes.
+once per :class:`ResourceRegistry`; concurrent first users of a registry
+block until the loader finishes.  :func:`load` builds a fresh registry on
+every call, so each call without a path parses the file again.
 Installation happens from local archives only.
 """
 

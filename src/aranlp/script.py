@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import unicodedata
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import _tsv
@@ -240,36 +241,33 @@ class TransliterationResult:
     unmapped: tuple[tuple[int, str], ...] = ()
 
 
-def to_buckwalter_report(text: str) -> TransliterationResult:
-    """Arabic -> Buckwalter; unmapped Arabic-block codepoints pass through
-    and are reported."""
+def _transliterate(
+    text: str, table: dict[str, str], reported: Callable[[str], bool]
+) -> TransliterationResult:
+    """Map each character through the table; one outside it passes
+    through, and is reported when ``reported(ch)`` holds."""
     out: list[str] = []
     unmapped: list[tuple[int, str]] = []
     for i, ch in enumerate(text):
-        symbol = _AR2BW.get(ch)
-        if symbol is not None:
-            out.append(symbol)
-        else:
-            if _in_arabic_block(ch):
+        symbol = table.get(ch)
+        if symbol is None:
+            if reported(ch):
                 unmapped.append((i, ch))
-            out.append(ch)
+            symbol = ch
+        out.append(symbol)
     return TransliterationResult("".join(out), tuple(unmapped))
+
+
+def to_buckwalter_report(text: str) -> TransliterationResult:
+    """Arabic -> Buckwalter; unmapped Arabic-block codepoints pass through
+    and are reported."""
+    return _transliterate(text, _AR2BW, _in_arabic_block)
 
 
 def from_buckwalter_report(text: str) -> TransliterationResult:
     """Buckwalter -> Arabic; non-whitespace symbols outside the table pass
     through and are reported."""
-    out: list[str] = []
-    unmapped: list[tuple[int, str]] = []
-    for i, ch in enumerate(text):
-        char = _BW2AR.get(ch)
-        if char is not None:
-            out.append(char)
-        else:
-            if not ch.isspace():
-                unmapped.append((i, ch))
-            out.append(ch)
-    return TransliterationResult("".join(out), tuple(unmapped))
+    return _transliterate(text, _BW2AR, lambda ch: not ch.isspace())
 
 
 def to_buckwalter(text: str) -> str:

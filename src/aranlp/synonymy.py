@@ -30,6 +30,7 @@ from .errors import (
     SeedNotInGraphWarning,
     UnknownLanguageCode,
 )
+from .evaluation import format_percent
 
 _LANGUAGE_RE = re.compile(r"^[a-z]{2,3}$")
 
@@ -151,7 +152,7 @@ class FuzzyResult:
 
     @property
     def percent(self) -> str:
-        return f"{float(self.score) * 100:.2f}%"
+        return format_percent(float(self.score))
 
 
 def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set[TermNode]:

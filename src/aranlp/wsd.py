@@ -367,26 +367,25 @@ def annotate_corpus(
 
 def read_annotated_corpus(source: str | Path) -> list[AnnotatedSentence]:
     """Annotated corpus file: one block per sentence, the sentence line
-    followed by one `start<TAB>end<TAB>kind<TAB>payload` line per span."""
-    return [
-        AnnotatedSentence(
-            tuple(sentence.split()),
-            tuple(_tsv.span_row(lineno, line, 4, AnnotatedSpan) for lineno, line in span_lines),
-        )
-        for (_, sentence), *span_lines in _tsv.blocks(source)
-    ]
+    followed by one `start<TAB>end<TAB>kind<TAB>payload` line per span; a
+    sentence with no tokens is the block file's empty record (the lone
+    line `-`).  So the one sentence that does not survive a round trip is
+    the lone token `-` with no spans: it reads back with no tokens."""
+    corpus = []
+    for block in _tsv.blocks(source):
+        # an empty record is a sentence line without tokens
+        (_, sentence), *span_lines = block or [(0, "")]
+        spans = (_tsv.span_row(lineno, line, 4, AnnotatedSpan) for lineno, line in span_lines)
+        corpus.append(AnnotatedSentence(tuple(sentence.split()), tuple(spans)))
+    return corpus
 
 
 def format_annotated_corpus(sentences: Sequence[AnnotatedSentence]) -> str:
     """Inverse of read_annotated_corpus."""
-    blocks = []
-    for sentence in sentences:
-        lines = [sentence.text]
-        lines.extend(
-            f"{s.start}\t{s.end}\t{s.kind}\t{s.payload}" for s in sentence.spans
-        )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return _tsv.format_blocks(
+        "\n".join([s.text, *(f"{x.start}\t{x.end}\t{x.kind}\t{x.payload}" for x in s.spans)])
+        for s in sentences
+    )
 
 
 def _payload_matches(predicted: str, gold: str) -> bool:
@@ -455,7 +454,7 @@ def wsd_accuracy(
     pred: Sequence[AnnotatedSentence],
     category: str = "overall",
 ) -> float:
-    """Per-category accuracy over aligned corpora.
+    """Per-category accuracy over aligned corpora, read from accuracy_report.
 
     Entity and multi-word spans count as correct on an exact (start, end)
     match with an acceptable payload (gold may list alternatives joined by
@@ -466,26 +465,10 @@ def wsd_accuracy(
     """
     if category not in CATEGORIES:
         raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
-    return accuracy_from_counts(corpus_counts(gold, pred), category)
-
-
-def accuracy_from_counts(
-    totals: dict[str, tuple[int, int, int, int]],
-    category: str = "overall",
-) -> float:
-    """wsd_accuracy's score for a category in CATEGORIES, from
-    corpus_counts totals."""
-    if category != "overall":
-        gold_n, _, correct, _ = totals[category]
-        return correct / gold_n if gold_n else 1.0
-    weighted = [
-        (correct / gold_n, tokens)
-        for gold_n, _, correct, tokens in totals.values()
-        if gold_n and tokens
-    ]
-    if not weighted:
-        return 1.0
-    return micro_average(weighted)
+    report = accuracy_report(gold, pred)
+    if category == "overall":
+        return report.overall
+    return next(c.score for c in report.categories if c.name == category)
 
 
 def accuracy_report(
@@ -494,12 +477,12 @@ def accuracy_report(
 ) -> EvalReport:
     """`wsd eval`'s table: per category the gold, predicted and correct
     span counts, accuracy and gold-token weight, then the overall micro
-    average; the scores are wsd_accuracy's."""
-    totals = corpus_counts(gold, pred)
+    average; wsd_accuracy documents the scores."""
     categories = tuple(
-        CategoryResult(name, gold_n, pred_n, correct, accuracy_from_counts(totals, name), tokens)
-        for name, (gold_n, pred_n, correct, tokens) in totals.items()
+        CategoryResult(name, gold_n, pred_n, correct, correct / gold_n if gold_n else 1.0, tokens)
+        for name, (gold_n, pred_n, correct, tokens) in corpus_counts(gold, pred).items()
     )
-    return EvalReport(
-        "sense annotation accuracy", "accuracy", categories, accuracy_from_counts(totals)
-    )
+    # a category weighs its gold tokens, so one without gold spans weighs nothing
+    weighted = [(c.score, c.weight) for c in categories if c.weight]
+    overall = micro_average(weighted) if weighted else 1.0
+    return EvalReport("sense annotation accuracy", "accuracy", categories, overall)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aranlp
 from aranlp.cli import dispatch
 from aranlp.ner import EntitySpan, format_span_file, span_f1
 from aranlp.wsd import (
@@ -232,6 +237,24 @@ class TestMorphCommand:
             assert captured.out.encode("utf-8") == handle.read()
 
 
+class TestMain:
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdin_is_read_as_utf8_like_a_file(self, encoding, tmp_path):
+        # `python -m aranlp` decodes stdin as UTF-8 whatever the locale or
+        # PYTHONIOENCODING says, so piping a file equals passing --file.
+        line = "كتب\n".encode("utf-8")
+        path = tmp_path / "line.txt"
+        path.write_bytes(line)
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": str(Path(aranlp.__file__).parents[1])}
+        command = [sys.executable, "-m", "aranlp", "morph", "--dict", MORPH, "--task", "lemma"]
+        run = dict(capture_output=True, env=env, timeout=60)
+        from_stdin = subprocess.run(command, input=line, **run)
+        from_file = subprocess.run([*command, "--file", str(path)], **run)
+        assert (from_stdin.returncode, from_stdin.stderr) == (0, b"")
+        assert from_stdin.stdout == from_file.stdout == "كتب\t-\toov\n".encode("utf-8")
+
+
 class TestNerCommands:
     def test_tag_spans(self, monkeypatch, capsys):
         feed(monkeypatch, EXAMPLE + "\n")
@@ -405,6 +428,22 @@ class TestWsdCommands:
         scores = {r["category"]: r["score"] for r in records}
         assert scores == {c: wsd_accuracy(corpus.gold, pred, c) for c in CATEGORIES}
         assert scores["overall"] < 1.0
+
+    def test_annotate_keeps_blank_lines(self, monkeypatch, capsys, tmp_path):
+        text = f"\n{EXAMPLE}\n\nمصر\n\n"  # leading, inner and trailing blank lines
+        command = ["wsd", "annotate", "--inventory", INV, "--dict", MORPH, "--gazetteer", GAZ]
+        feed(monkeypatch, text)
+        assert dispatch(command) == 0
+        path = tmp_path / "annotated.tsv"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        corpus = read_annotated_corpus(path)
+        assert [list(s.tokens) for s in corpus] == [[], EXAMPLE.split(), [], ["مصر"], []]
+        feed(monkeypatch, text)
+        assert dispatch([*command, "--format", "records"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records == [
+            {"tokens": list(s.tokens), "spans": [vars(x) for x in s.spans]} for s in corpus
+        ]
 
     @pytest.mark.parametrize("fmt, expected", [
         ("text", "wsd_annotate_expected.txt"),

@@ -172,23 +172,44 @@ MALFORMED_ROWS = [
      "NOUN\tnoun\tX\n", 3, "expected 2 tab-separated fields, got 3"),
     ("load_gazetteer", _from_path(ner.load_gazetteer),
      "مصر\tGPE\tX\n", 3, "expected 2 tab-separated fields, got 3"),
+    ("load_gazetteer-empty-field", _from_path(ner.load_gazetteer),
+     "مصر\t \n", 3, "both n-gram and type must be non-empty"),
+    ("load_gazetteer-six-tokens", _from_path(ner.load_gazetteer),
+     "أ ب ت ث ج ح\tGPE\n", 3, "n-gram must have 1..5 tokens"),
     ("default_entity_types", _packaged(ner.default_entity_types),
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("load_entity_types", _from_path(ner.load_entity_types),
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("read_span_file", _from_path(ner.read_span_file),
      "0\t1\tPERS\n0\t1\n", 4, "expected 3 tab-separated fields, got 2"),
+    ("read_span_file-dash-among-spans", _from_path(ner.read_span_file),
+     "0\t1\tPERS\n-\n", 4, "expected 3 tab-separated fields, got 1"),
+    ("read_span_file-invalid-span", _from_path(ner.read_span_file),
+     "3\t1\tPERS\n", 3, "invalid span (3, 1)"),
     ("load_inventory", _from_path(wsd.load_inventory),
      "SW\tكتب\tg1\n", 3, "expected 4 tab-separated fields, got 3"),
+    ("load_inventory-empty-gloss-id", _from_path(wsd.load_inventory),
+     "SW\tكتب\t \tنص\n", 3, "lemma n-gram and gloss_id must be non-empty"),
+    ("load_inventory-two-token-sw-key", _from_path(wsd.load_inventory),
+     "SW\tكتب ذهب\tg1\tنص\n", 3, "SW key must be a single lemma"),
     ("read_annotated_corpus", _from_path(wsd.read_annotated_corpus),
      "كتب ذهب\n0\t1\tentity\n", 4, "expected 4 tab-separated fields, got 3"),
+    ("read_annotated_corpus-unknown-kind", _from_path(wsd.read_annotated_corpus),
+     "كتب ذهب\n0\t1\tverb\tg1\n", 4,
+     "kind must be one of ('entity', 'multiword', 'singleword'), got 'verb'"),
     ("load_pairs", _from_path(load_pairs),
      "أ\tب\t0.5\tX\n", 3, "expected 2 or 3 tab-separated fields, got 4"),
+    ("load_pairs-gold-not-a-number", _from_path(load_pairs),
+     "أ\tب\thigh\n", 3, "gold score 'high' is not a number"),
+    ("load_pairs-gold-out-of-range", _from_path(load_pairs),
+     "أ\tب\t1.5\n", 3, "gold score must lie in [0, 1], got 1.5"),
     ("build_graph", _from_path(synonymy.build_graph),
      "ذهب\tar\tgo\ten\tL\n", 3, "expected 6 tab-separated fields, got 5"),
+    ("build_graph-empty-surface", _from_path(synonymy.build_graph),
+     " \tar\tgo\ten\tL\t1\n", 3, "surfaces must be non-empty"),
     ("cli._load_types", _from_path(lambda path: cli._load_types(argparse.Namespace(types=path))),
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
-    ("cli._parse_matrix_blocks", _from_lines(cli._parse_matrix_blocks, False),
+    ("ner.read_matrix_file", _from_lines(ner.read_matrix_file, False),
      "كتب ذهب\nPERS B O\n", 4, "expected `TYPE<TAB>label label ...`"),
     ("cli._cmd_eval", _from_path(lambda path: cli._cmd_eval(argparse.Namespace(file=path))),
      "50%\n", 3, "expected `score<TAB>weight`"),
@@ -227,7 +248,7 @@ class TestLineFiles:
             ],
         ),
         (
-            lambda path: cli._parse_matrix_blocks(path.read_text("utf-8").splitlines()),
+            lambda path: ner.read_matrix_file(path.read_text("utf-8").splitlines()),
             "# matrix\nكتب ذهب\n# inside a block\nPERS\tB I\n\n# between blocks\n\nولد\n"
             "ORG\tB",
             [
@@ -235,7 +256,7 @@ class TestLineFiles:
                 LabelMatrix(("ولد",), {"ORG": ("B",)}),
             ],
         ),
-    ], ids=["read_span_file", "read_annotated_corpus", "cli._parse_matrix_blocks"])
+    ], ids=["read_span_file", "read_annotated_corpus", "ner.read_matrix_file"])
     def test_blocks_skip_comments_and_keep_an_unterminated_last_block(
         self, load, text, expected, tmp_path
     ):

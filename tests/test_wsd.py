@@ -764,6 +764,18 @@ class TestAccuracy:
         # ner: 1/1 over 4 tokens; singleword: 1/2 over 2 tokens
         assert wsd_accuracy(gold, pred, "overall") == pytest.approx((1.0 * 4 + 0.5 * 2) / 6)
 
+    def test_unknown_category_is_rejected(self):
+        with pytest.raises(ValueError, match="category must be one of"):
+            wsd_accuracy([], [], "verbs")
+
+    def test_corpora_without_gold_spans_score_one(self):
+        tokens = ("w1", "w2")
+        gold = [AnnotatedSentence(tokens, ())]
+        pred = [AnnotatedSentence(tokens, (AnnotatedSpan(0, 1, KIND_SINGLEWORD, "a"),))]
+        for g, p in ((gold, pred), ([], [])):
+            assert [wsd_accuracy(g, p, c) for c in CATEGORIES] == [1.0] * len(CATEGORIES)
+            assert accuracy_report(g, p).overall == 1.0
+
     def test_report_counts_every_predicted_span_and_scores_like_wsd_accuracy(self):
         corpus = build_corpus(seed=13, sentence_count=10)
         pred = [AnnotatedSentence(s.tokens, s.spans[::2]) for s in corpus.gold]
