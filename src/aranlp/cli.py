@@ -1,19 +1,25 @@
 """Command-line interface: one binary, one subcommand per component.
 
-A handler parses its arguments, calls one library function and renders
-the result.  Metrics, file formats and resource defaults belong to the
-library; no handler holds a second copy of one.
+A handler reads its arguments, calls one library function and returns
+the rendered result as a list of output lines (an item may hold several
+lines).  Metrics, file formats and resource defaults belong to the
+library; no handler holds a second copy of one.  An option that several
+subcommands share is declared once, on a parent parser.
 
-Exit codes are uniform: 0 success, 1 data/validation error, 2 usage
-error.  Results go to stdout; diagnostics and advisories go to stderr so
-pipelines stay clean.  Bad input files, unreadable paths and input that
-is not UTF-8 exit 1 with one `aranlp: error:` line.
+:func:`dispatch` is the only writer of results: only after the handler
+has succeeded does it write each item and a line break to stdout, and
+nothing for an empty list.  Exit codes are uniform: 0 success, 1
+data/validation error, 2 usage error.  Diagnostics and advisories go to
+stderr so pipelines stay clean.  Bad input files, unreadable paths,
+input that is not UTF-8 and a stdout that fails while it is written (a
+closed pipe) exit 1 with one `aranlp: error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -28,7 +34,7 @@ PROG = "aranlp"
 
 
 def _read_text(args) -> str:
-    if getattr(args, "file", None):
+    if args.file:
         return Path(args.file).read_text("utf-8")
     return sys.stdin.read()
 
@@ -37,30 +43,14 @@ def _read_lines(args) -> list[str]:
     return _read_text(args).splitlines()
 
 
-def _add_input_options(parser, with_format=True):
-    parser.add_argument("--file", help="read input from this file instead of stdin")
-    if with_format:
-        parser.add_argument(
-            "--format", choices=("text", "records"), default="text",
-            help="text output or one JSON record per line",
-        )
-
-
 def _record(obj) -> str:
     """One JSON line; a dataclass (a span, a solution) becomes its fields."""
     return json.dumps(obj, ensure_ascii=False, default=vars)
 
 
-def _print_joined(items) -> None:
-    """Print the items one per line; print nothing at all for no items."""
-    items = list(items)
-    if items:
-        print("\n".join(items))
-
-
 # --- translit / strip / split / match / jaccard / dedup -------------------
 
-def _cmd_translit(args) -> int:
+def _cmd_translit(args) -> list[str]:
     convert = (
         script.to_buckwalter_report if args.to == "bw" else script.from_buckwalter_report
     )
@@ -75,14 +65,13 @@ def _cmd_translit(args) -> int:
                 f"advisory: unmapped U+{ord(ch):04X} at column {index}",
                 file=sys.stderr,
             )
-    _print_joined(out_lines)
     if advisories:
         print(f"advisory: {advisories} unmapped codepoint(s) passed through", file=sys.stderr)
-    return 0
+    return out_lines
 
 
-def _cmd_strip(args) -> int:
-    _print_joined(
+def _cmd_strip(args) -> list[str]:
+    return [
         script.ar_strip(
             line,
             diacritics=args.diacritics,
@@ -93,19 +82,17 @@ def _cmd_strip(args) -> int:
             tatweel=args.tatweel,
         )
         for line in _read_lines(args)
-    )
-    return 0
+    ]
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> list[str]:
     classes = frozenset(name for name in args.sep.split(",") if name)
     config = textutils.SplitConfig(
         classes=classes,
         custom=frozenset(args.custom),
         attach_separator=not args.drop_separator,
     )
-    _print_joined(textutils.split_sentences(_read_text(args), config))
-    return 0
+    return textutils.split_sentences(_read_text(args), config)
 
 
 def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
@@ -134,11 +121,10 @@ def _match_line(w1: str, w2: str, fmt: str) -> str:
     return f"{verdict.relation}\t{verdict.first_conflict}"
 
 
-def _cmd_match(args) -> int:
+def _cmd_match(args) -> list[str]:
     pairs = _pairs(args, args.words, "match takes exactly two words",
                    None, "expected two whitespace-separated words")
-    _print_joined(_match_line(w1, w2, args.format) for w1, w2 in pairs)
-    return 0
+    return [_match_line(w1, w2, args.format) for w1, w2 in pairs]
 
 
 def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
@@ -152,19 +138,17 @@ def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
     )
 
 
-def _cmd_jaccard(args) -> int:
+def _cmd_jaccard(args) -> list[str]:
     pairs = _pairs(args, args.sets, "jaccard takes exactly two word-list arguments",
                    "\t", "expected two tab-separated word lists")
-    _print_joined(
+    return [
         _jaccard_output(textutils.jaccard(s1.split(), s2.split(), args.mode), args.format)
         for s1, s2 in pairs
-    )
-    return 0
+    ]
 
 
-def _cmd_dedup(args) -> int:
-    _print_joined(textutils.remove_duplicates(_read_lines(args), args.threshold))
-    return 0
+def _cmd_dedup(args) -> list[str]:
+    return textutils.remove_duplicates(_read_lines(args), args.threshold)
 
 
 # --- morph -----------------------------------------------------------------
@@ -179,7 +163,7 @@ def _morph_fields(value) -> str:
     return value
 
 
-def _cmd_morph(args) -> int:
+def _cmd_morph(args) -> list[str]:
     dictionary = resources.load("morph_dictionary", args.dict)
     out = []
     for token in _read_text(args).split():
@@ -203,14 +187,13 @@ def _cmd_morph(args) -> int:
             ))
         else:
             out.append(f"{token}\t{_morph_fields(tagged.value)}\t{tagged.source}")
-    _print_joined(out)
-    return 0
+    return out
 
 
 # --- ner ---------------------------------------------------------------------
 
 def _load_types(args) -> ner.EntityTypeSet:
-    if getattr(args, "types", None):
+    if args.types:
         names = ner.load_entity_types(args.types)
         try:
             return ner.EntityTypeSet(names)
@@ -223,42 +206,36 @@ def _load_gazetteer_tagger(args) -> ner.GazetteerTagger:
     return ner.GazetteerTagger(resources.load("gazetteer", args.gazetteer), _load_types(args))
 
 
-def _print_matrices(matrices: list[ner.LabelMatrix], args) -> None:
+def _matrix_output(matrices: list[ner.LabelMatrix], args) -> list[str]:
     """`ner tag` and `ner decode` output: one JSON record per sentence, the
     label matrices, or the decoded span file."""
     if args.format == "records":
-        _print_joined(
-            _record({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices
-        )
-    elif getattr(args, "output", "spans") == "matrix":
-        sys.stdout.write(ner.format_matrix_file(matrices))
-    else:
-        sys.stdout.write(ner.format_span_file([ner.decode_matrix(m) for m in matrices]))
+        return [_record({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices]
+    if args.output == "matrix":
+        return ner.format_matrix_file(matrices).splitlines()
+    return ner.format_span_file([ner.decode_matrix(m) for m in matrices]).splitlines()
 
 
-def _cmd_ner_tag(args) -> int:
+def _cmd_ner_tag(args) -> list[str]:
     tagger = _load_gazetteer_tagger(args)
-    _print_matrices([tagger.classify(line.split()) for line in _read_lines(args)], args)
-    return 0
+    return _matrix_output([tagger.classify(line.split()) for line in _read_lines(args)], args)
 
 
-def _cmd_ner_decode(args) -> int:
-    _print_matrices(ner.read_matrix_file(_read_lines(args)), args)
-    return 0
+def _cmd_ner_decode(args) -> list[str]:
+    return _matrix_output(ner.read_matrix_file(_read_lines(args)), args)
 
 
-def _print_report(report: evaluation.EvalReport, args) -> None:
-    print(report.render_records() if args.format == "records" else report.render_text())
+def _report_output(report: evaluation.EvalReport, args) -> list[str]:
+    return [report.render_records() if args.format == "records" else report.render_text()]
 
 
-def _cmd_ner_eval(args) -> int:
+def _cmd_ner_eval(args) -> list[str]:
     gold = ner.read_span_file(args.gold)
     pred = ner.read_span_file(args.pred)
     report, overall = ner.span_report(gold, pred, args.mode)
-    _print_report(report, args)
     scores = (f"{name} {evaluation.format_percent(v)}" for name, v in overall._asdict().items())
     print("  ".join(scores), file=sys.stderr)
-    return 0
+    return _report_output(report, args)
 
 
 # --- wsd ---------------------------------------------------------------------
@@ -271,29 +248,26 @@ def _build_verifier(args, dictionary):
     return wsd.OracleVerifier(wsd.gold_gloss_ids(wsd.read_annotated_corpus(args.gold)))
 
 
-def _cmd_wsd_annotate(args) -> int:
+def _cmd_wsd_annotate(args) -> list[str]:
     dictionary = resources.load("morph_dictionary", args.dict)
     inventory = resources.load("sense_inventory", args.inventory)
     tagger = _load_gazetteer_tagger(args)
     verifier = _build_verifier(args, dictionary)
     annotated = wsd.annotate_corpus(_read_lines(args), inventory, tagger, verifier, dictionary)
     if args.format == "records":
-        _print_joined(_record({"tokens": s.tokens, "spans": s.spans}) for s in annotated)
-    else:
-        sys.stdout.write(wsd.format_annotated_corpus(annotated))
-    return 0
+        return [_record({"tokens": s.tokens, "spans": s.spans}) for s in annotated]
+    return wsd.format_annotated_corpus(annotated).splitlines()
 
 
-def _cmd_wsd_eval(args) -> int:
+def _cmd_wsd_eval(args) -> list[str]:
     gold = wsd.read_annotated_corpus(args.gold)
     pred = wsd.read_annotated_corpus(args.pred)
-    _print_report(wsd.accuracy_report(gold, pred), args)
-    return 0
+    return _report_output(wsd.accuracy_report(gold, pred), args)
 
 
 # --- relatedness -------------------------------------------------------------
 
-def _cmd_relatedness_score(args) -> int:
+def _cmd_relatedness_score(args) -> list[str]:
     provider = HashedTrigramProvider()
     out = []
     for pair in load_pairs(args.pairs):
@@ -304,18 +278,16 @@ def _cmd_relatedness_score(args) -> int:
             out.append(_record({"s1": pair.s1, "s2": pair.s2, "score": round(score, 6)}))
         else:
             out.append(f"{score:.4f}")
-    _print_joined(out)
-    return 0
+    return out
 
 
-def _cmd_relatedness_eval(args) -> int:
-    print(f"{evaluate_pairs(load_pairs(args.pairs), HashedTrigramProvider()):.4f}")
-    return 0
+def _cmd_relatedness_eval(args) -> list[str]:
+    return [f"{evaluate_pairs(load_pairs(args.pairs), HashedTrigramProvider()):.4f}"]
 
 
 # --- syn ---------------------------------------------------------------------
 
-def _cmd_syn(args) -> int:
+def _cmd_syn(args) -> list[str]:
     graph = resources.load("synonym_pairs", args.pairs)
     run = synonymy.syn_extract if args.action == "extract" else synonymy.syn_eval
     with warnings.catch_warnings(record=True) as caught:
@@ -324,49 +296,46 @@ def _cmd_syn(args) -> int:
     for warning in caught:
         print(f"advisory: {warning.message}", file=sys.stderr)
     if args.format == "records":
-        _print_joined(
+        return [
             _record({"surface": r.term.surface, "language": r.term.language,
                      "score": float(r.score)})
             for r in results
-        )
-    else:
-        _print_joined(f"{r.term.surface}\t{r.percent}" for r in results)
-    return 0
+        ]
+    return [f"{r.term.surface}\t{r.percent}" for r in results]
 
 
 # --- resources / eval ----------------------------------------------------------
 
-def _cmd_resources_install(args) -> int:
-    summary = resources.install(args.archive)
-    print(summary.render())
-    return 0
+def _cmd_resources_install(args) -> list[str]:
+    return [resources.install(args.archive).render()]
 
 
-def _cmd_resources_list(args) -> int:
-    for name, path, exists, _ in resources.ResourceRegistry().status():
-        print(f"{name}\t{path}\t{'present' if exists else 'missing'}")
-    return 0
+def _cmd_resources_list(args) -> list[str]:
+    return [
+        f"{name}\t{path}\t{'present' if exists else 'missing'}"
+        for name, path, exists, _ in resources.ResourceRegistry().status()
+    ]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> list[str]:
     rows = []
     for lineno, fields in _tsv.rows(_read_lines(args), 2, "`score<TAB>weight`"):
         score_text, weight_text = fields[0].strip(), fields[1].strip()
+        percent = score_text.endswith("%")
         try:
-            if score_text.endswith("%"):
-                score = float(score_text[:-1]) / 100.0
-            else:
-                score = float(score_text)
+            score = float(score_text[:-1]) / 100.0 if percent else float(score_text)
             weight = float(weight_text)
         except ValueError:
             raise MalformedRow(lineno, "score and weight must be numbers") from None
-        if not score_text.endswith("%") and not 0.0 <= score <= 1.0:
+        if not percent and not 0.0 <= score <= 1.0:
             raise MalformedRow(lineno, "plain scores must lie in [0, 1]; use a % suffix otherwise")
+        # a non-finite percent is left to micro_average, which names its pair
+        if percent and math.isfinite(score) and not 0.0 <= score <= 1.0:
+            raise MalformedRow(lineno, "percent scores must lie in [0%, 100%]")
         rows.append((score, weight))
     if not rows:
         raise AranlpError("no (score, weight) rows given")
-    print(evaluation.format_percent(evaluation.micro_average(rows)))
-    return 0
+    return [evaluation.format_percent(evaluation.micro_average(rows))]
 
 
 # --- parser ------------------------------------------------------------------
@@ -378,93 +347,95 @@ def build_parser() -> argparse.ArgumentParser:
                     "synonymy, and text utilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    file_ = argparse.ArgumentParser(add_help=False)
+    file_.add_argument("--file", help="read input from this file instead of stdin")
+    format_ = argparse.ArgumentParser(add_help=False)
+    format_.add_argument("--format", choices=("text", "records"), default="text",
+                         help="text output or one JSON record per line")
+    dict_ = argparse.ArgumentParser(add_help=False)
+    dict_.add_argument("--dict", help="morphology dictionary TSV (default: registry resource)")
+    gazetteer = argparse.ArgumentParser(add_help=False)
+    gazetteer.add_argument("--gazetteer", help="gazetteer TSV (default: registry resource)")
+    gazetteer.add_argument("--types", help="entity type list file (default: packaged pack)")
+    gold_pred = argparse.ArgumentParser(add_help=False)
+    gold_pred.add_argument("--gold", required=True)
+    gold_pred.add_argument("--pred", required=True)
 
-    p = sub.add_parser("translit", help="convert between Arabic script and Buckwalter")
+    p = sub.add_parser("translit", parents=[file_],
+                       help="convert between Arabic script and Buckwalter")
     p.add_argument("--to", choices=("bw", "ar"), required=True,
                    help="bw: Arabic -> Buckwalter; ar: Buckwalter -> Arabic")
-    _add_input_options(p, with_format=False)
     p.set_defaults(handler=_cmd_translit)
 
-    p = sub.add_parser("strip", help="selectively remove Arabic character categories")
+    p = sub.add_parser("strip", parents=[file_],
+                       help="selectively remove Arabic character categories")
     for flag in ("diacritics", "shaddah", "digits", "unify-alif", "special-chars", "tatweel"):
         p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true")
-    _add_input_options(p, with_format=False)
     p.set_defaults(handler=_cmd_strip)
 
-    p = sub.add_parser("split", help="split text into sentences at chosen separators")
+    p = sub.add_parser("split", parents=[file_],
+                       help="split text into sentences at chosen separators")
     p.add_argument("--sep", default="period,question,exclamation,linebreak",
                    help="comma-separated separator classes")
     p.add_argument("--custom", default="", help="extra separator codepoints")
     p.add_argument("--drop-separator", action="store_true",
                    help="do not keep the separator on the sentence end")
-    _add_input_options(p, with_format=False)
     p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("match", help="diacritic-aware comparison of two Arabic words")
+    p = sub.add_parser("match", parents=[file_, format_],
+                       help="diacritic-aware comparison of two Arabic words")
     p.add_argument("words", nargs="*", help="the two words (or use stdin/--file)")
-    _add_input_options(p)
     p.set_defaults(handler=_cmd_match)
 
-    p = sub.add_parser("jaccard", help="union/intersection/similarity of two word sets")
+    p = sub.add_parser("jaccard", parents=[file_, format_],
+                       help="union/intersection/similarity of two word sets")
     p.add_argument("sets", nargs="*", help="two whitespace-separated word lists")
     p.add_argument("--mode", choices=("exact", "diacritic_aware"), default="diacritic_aware")
-    _add_input_options(p)
     p.set_defaults(handler=_cmd_jaccard)
 
-    p = sub.add_parser("dedup", help="drop near-duplicate sentences (one per line)")
+    p = sub.add_parser("dedup", parents=[file_],
+                       help="drop near-duplicate sentences (one per line)")
     p.add_argument("--threshold", type=float, default=0.8,
                    help="cosine similarity at or above which a sentence is dropped")
-    _add_input_options(p, with_format=False)
     p.set_defaults(handler=_cmd_dedup)
 
-    p = sub.add_parser("morph", help="dictionary lookup tagging: lemma/pos/root")
+    p = sub.add_parser("morph", parents=[dict_, file_, format_],
+                       help="dictionary lookup tagging: lemma/pos/root")
     p.add_argument("--task", choices=morphology.TASKS, default="full")
     p.add_argument("--all", action="store_true", help="print the full ranked solution list")
-    p.add_argument("--dict", help="dictionary TSV (default: registry resource)")
-    _add_input_options(p)
     p.set_defaults(handler=_cmd_morph)
 
     p = sub.add_parser("ner", help="entity tagging, IOB decoding, span evaluation")
     ner_sub = p.add_subparsers(dest="action", required=True, metavar="ACTION")
-    q = ner_sub.add_parser("tag", help="gazetteer-tag sentences (one per line)")
-    q.add_argument("--gazetteer", help="gazetteer TSV (default: registry resource)")
-    q.add_argument("--types", help="entity type list file (default: packaged pack)")
+    q = ner_sub.add_parser("tag", parents=[gazetteer, file_, format_],
+                           help="gazetteer-tag sentences (one per line)")
     q.add_argument("--output", choices=("spans", "matrix"), default="spans")
-    _add_input_options(q)
     q.set_defaults(handler=_cmd_ner_tag)
-    q = ner_sub.add_parser("decode", help="decode IOB label matrices into spans")
-    _add_input_options(q)
-    q.set_defaults(handler=_cmd_ner_decode)
-    q = ner_sub.add_parser("eval", help="span-level F1 between gold and predicted files")
-    q.add_argument("--gold", required=True)
-    q.add_argument("--pred", required=True)
+    q = ner_sub.add_parser("decode", parents=[file_, format_],
+                           help="decode IOB label matrices into spans")
+    q.set_defaults(handler=_cmd_ner_decode, output="spans")
+    q = ner_sub.add_parser("eval", parents=[gold_pred, format_],
+                           help="span-level F1 between gold and predicted files")
     q.add_argument("--mode", choices=("flat", "nested"), default="nested")
-    q.add_argument("--format", choices=("text", "records"), default="text")
     q.set_defaults(handler=_cmd_ner_eval)
 
     p = sub.add_parser("wsd", help="sense disambiguation (default action: annotate)")
     wsd_sub = p.add_subparsers(dest="action", required=True, metavar="ACTION")
-    q = wsd_sub.add_parser("annotate", help="annotate sentences (one per line)")
+    q = wsd_sub.add_parser("annotate", parents=[dict_, gazetteer, file_, format_],
+                           help="annotate sentences (one per line)")
     q.add_argument("--inventory", help="sense inventory TSV (default: registry resource)")
-    q.add_argument("--dict", help="morphology dictionary TSV (default: registry resource)")
-    q.add_argument("--gazetteer", help="gazetteer TSV (default: registry resource)")
-    q.add_argument("--types", help="entity type list file (default: packaged pack)")
     q.add_argument("--verifier", choices=("overlap", "oracle"), default="overlap")
     q.add_argument("--gold", help="gold annotated corpus (required for --verifier oracle)")
-    _add_input_options(q)
     q.set_defaults(handler=_cmd_wsd_annotate)
-    q = wsd_sub.add_parser("eval", help="category accuracies + micro average")
-    q.add_argument("--gold", required=True)
-    q.add_argument("--pred", required=True)
-    q.add_argument("--format", choices=("text", "records"), default="text")
+    q = wsd_sub.add_parser("eval", parents=[gold_pred, format_],
+                           help="category accuracies + micro average")
     q.set_defaults(handler=_cmd_wsd_eval)
 
     p = sub.add_parser("relatedness", help="sentence-pair relatedness scoring")
     rel_sub = p.add_subparsers(dest="action", required=True, metavar="ACTION")
-    q = rel_sub.add_parser("score", help="score s1<TAB>s2 pairs")
+    q = rel_sub.add_parser("score", parents=[format_], help="score s1<TAB>s2 pairs")
     q.add_argument("--pairs", required=True)
     q.add_argument("--rescale", action="store_true", help="map raw cosine to [0,1] via (x+1)/2")
-    q.add_argument("--format", choices=("text", "records"), default="text")
     q.set_defaults(handler=_cmd_relatedness_score)
     q = rel_sub.add_parser("eval", help="Spearman rank correlation against gold scores")
     q.add_argument("--pairs", required=True)
@@ -473,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("syn", help="cycle-based synonym extraction and evaluation")
     syn_sub = p.add_subparsers(dest="action", required=True, metavar="ACTION")
     for action, minimum in (("extract", "seed term(s)"), ("eval", "terms to score")):
-        q = syn_sub.add_parser(action, help=f"{action} synonyms from {minimum}")
+        q = syn_sub.add_parser(action, parents=[format_],
+                               help=f"{action} synonyms from {minimum}")
         q.add_argument("terms", nargs="+")
         q.add_argument("--level", type=int, choices=(2, 3), default=2)
         q.add_argument("--lang", default="ar", help="language of the input terms")
         q.add_argument("--pairs", help="pair TSV (default: registry resource)")
-        q.add_argument("--format", choices=("text", "records"), default="text")
         q.set_defaults(handler=_cmd_syn, action=action)
 
     p = sub.add_parser("resources", help="manage the resource directory")
@@ -489,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = res_sub.add_parser("list", help="show expected resource paths and their status")
     q.set_defaults(handler=_cmd_resources_list)
 
-    p = sub.add_parser("eval", help="micro average of score<TAB>weight rows")
-    _add_input_options(p, with_format=False)
+    p = sub.add_parser("eval", parents=[file_], help="micro average of score<TAB>weight rows")
     p.set_defaults(handler=_cmd_eval)
 
     return parser
@@ -507,7 +477,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    """Route argv to a subcommand handler and map errors to exit codes."""
+    """Route argv to a subcommand handler, write the lines it returns and
+    map errors to exit codes."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -516,10 +487,13 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args) or 0
+        lines = args.handler(args)
+        if lines:  # inside the try: a closed stdout pipe ends in one error line too
+            print("\n".join(lines))
     except (AranlpError, OSError, UnicodeDecodeError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

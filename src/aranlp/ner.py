@@ -353,8 +353,8 @@ def format_span_file(sentences: Sequence[Sequence[EntitySpan]]) -> str:
 def read_matrix_file(source: str | Path | Iterable[str]) -> list[LabelMatrix]:
     """Label-matrix file: per sentence a block of the token line, then one
     `TYPE<TAB>label label ...` line per type; a sentence with no tokens is
-    the block file's empty record.  An invalid matrix is reported at its
-    token line."""
+    the block file's empty record.  A second row for a type is reported at
+    its line, any other invalid matrix at its token line."""
     matrices = []
     for block in _tsv.blocks(source):
         # an empty record is a token line without tokens
@@ -362,7 +362,10 @@ def read_matrix_file(source: str | Path | Iterable[str]) -> list[LabelMatrix]:
         rows: dict[str, tuple[str, ...]] = {}
         for row_lineno, line in row_lines:
             type_name, labels = _tsv.fields(row_lineno, line, 2, "`TYPE<TAB>label label ...`")
-            rows[type_name.strip()] = tuple(labels.split())
+            type_name = type_name.strip()
+            if type_name in rows:
+                raise MalformedRow(row_lineno, f"a second row for type {type_name!r}")
+            rows[type_name] = tuple(labels.split())
         try:
             matrices.append(LabelMatrix(tuple(tokens.split()), rows))
         except ValueError as exc:

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
 from .errors import BadArchive, PathEscape, ResourceMissing
+from .morphology import load_dictionary
+from .ner import load_gazetteer
+from .synonymy import build_graph
+from .wsd import load_inventory
 
 ENV_VAR = "ARANLP_RESOURCES"
 DEFAULT_ROOT = "resources"
@@ -31,19 +35,12 @@ RESOURCE_PATHS: dict[str, str] = {
 }
 
 
-def _loaders():
-    # Imported here so the registry stays importable from every module.
-    from .morphology import load_dictionary
-    from .ner import load_gazetteer
-    from .synonymy import build_graph
-    from .wsd import load_inventory
-
-    return {
-        "morph_dictionary": load_dictionary,
-        "gazetteer": load_gazetteer,
-        "sense_inventory": load_inventory,
-        "synonym_pairs": build_graph,
-    }
+_LOADERS = {
+    "morph_dictionary": load_dictionary,
+    "gazetteer": load_gazetteer,
+    "sense_inventory": load_inventory,
+    "synonym_pairs": build_graph,
+}
 
 
 class ResourceRegistry:
@@ -76,7 +73,7 @@ class ResourceRegistry:
             path = self.path(name)
             if not path.is_file():
                 raise ResourceMissing(name, path)
-            loaded = _loaders()[name](path)
+            loaded = _LOADERS[name](path)
             self._cache[name] = loaded
             return loaded
 
@@ -92,7 +89,7 @@ def load(name: str, path: str | Path | None = None):
     """The named resource parsed from path when one is given, else from
     the default registry root."""
     if path:
-        return _loaders()[name](path)
+        return _LOADERS[name](path)
     return ResourceRegistry().load(name)
 
 

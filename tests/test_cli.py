@@ -60,6 +60,57 @@ def feed(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
+GOLDENS = Path("tests/data/cli")
+STRIP_INPUT = "فَعَّلَ ١٢٣ أحمد إبراهيم آمن\nكـــتاب، «نص»!\n"
+SPLIT_INPUT = "أهلا. كيف حالك؟ أنا بخير!\nسطر جديد\n"
+MATCH_INPUT = "فعل فعل\n\nفَعلَ فِعلَ\nفَعلَ فعَل\nكتب كتاب\n"
+JACCARD_INPUT = "كتب ذهب\tذهب\n\nفَعَلَ كتب\tفعل ولد\n"
+DEDUP_INPUT = (
+    "ذهب الولد إلى المدرسة\nذهب الولد إلى المدرسة\nذهب الولد الى المدرسة اليوم\nالطقس جميل\n"
+)
+WSD_EVAL = ["wsd", "eval", "--gold", "tests/data/wsd_annotate_expected.txt",
+            "--pred", f"{GOLDENS}/wsd_pred.tsv"]
+NER_TAG = ["ner", "tag", "--gazetteer", GAZ, "--file", "tests/data/wsd_sentences.txt"]
+NER_EVAL = ["ner", "eval", "--gold", f"{GOLDENS}/ner_gold.tsv",
+            "--pred", f"{GOLDENS}/ner-tag-spans.out"]
+
+# (name, argv, stdin, exit code): tests/data/cli/NAME.out holds the
+# recorded stdout and NAME.err the recorded stderr; no .err file means
+# the command writes nothing to stderr.  Every case runs with the
+# resource root at tests/data/cli/resources.
+CLI_GOLDENS = [
+    ("translit-bw", ["translit", "--to", "bw"], "ذَهَبَ الوَلَدُ\nكتاب؟ 3\n\nمصر\n", 0),
+    ("translit-ar", ["translit", "--to", "ar"], "*ahaba Alwaladu\nktAb? x 3\n", 0),
+    ("strip-all", ["strip", "--diacritics", "--shaddah", "--digits", "--unify-alif",
+                   "--special-chars", "--tatweel"], STRIP_INPUT, 0),
+    ("strip-diacritics", ["strip", "--diacritics"], STRIP_INPUT, 0),
+    ("split", ["split"], SPLIT_INPUT, 0),
+    ("split-drop", ["split", "--sep", "period,linebreak", "--drop-separator"], SPLIT_INPUT, 0),
+    ("match", ["match"], MATCH_INPUT, 0),
+    ("match-records", ["match", "--format", "records"], MATCH_INPUT, 0),
+    ("match-malformed-row", ["match"], "فعل فعل\nفعل\n", 1),
+    ("jaccard", ["jaccard"], JACCARD_INPUT, 0),
+    ("jaccard-records", ["jaccard", "--format", "records"], JACCARD_INPUT, 0),
+    ("jaccard-exact-args", ["jaccard", "--mode", "exact", "فَعَلَ كتب", "فعل كتب"], "", 0),
+    ("jaccard-malformed-row", ["jaccard"], "كتب ذهب\tذهب\nفعل\n", 1),
+    ("dedup", ["dedup"], DEDUP_INPUT, 0),
+    ("dedup-threshold", ["dedup", "--threshold", "0.5"], DEDUP_INPUT, 0),
+    ("eval", ["eval"], "# header\n85.31%\t4389\n0.5\t10\n\n100%\t1\n0%\t2\n", 0),
+    ("wsd-eval", WSD_EVAL, "", 0),
+    ("wsd-eval-records", [*WSD_EVAL, "--format", "records"], "", 0),
+    ("ner-tag-spans", NER_TAG, "", 0),
+    ("ner-tag-matrix", [*NER_TAG, "--output", "matrix"], "", 0),
+    ("ner-tag-records", [*NER_TAG, "--format", "records"], "", 0),
+    ("ner-decode", ["ner", "decode", "--file", f"{GOLDENS}/ner-tag-matrix.out"], "", 0),
+    ("ner-decode-records", ["ner", "decode", "--format", "records",
+                            "--file", f"{GOLDENS}/ner-tag-matrix.out"], "", 0),
+    ("ner-eval", NER_EVAL, "", 0),
+    ("ner-eval-records", [*NER_EVAL, "--format", "records"], "", 0),
+    ("ner-eval-flat", [*NER_EVAL, "--mode", "flat"], "", 0),
+    ("resources-list", ["resources", "list"], "", 0),
+]
+
+
 class TestDispatch:
     @pytest.mark.parametrize("argv", HELP_TARGETS, ids=lambda a: " ".join(a))
     def test_help_exits_zero(self, argv, capsys):
@@ -114,6 +165,28 @@ class TestDispatch:
         feed(monkeypatch, "")
         assert dispatch([str(empty) if a == "EMPTY_FILE" else a for a in argv]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name, argv, stdin, code", CLI_GOLDENS,
+                             ids=[case[0] for case in CLI_GOLDENS])
+    def test_output_equals_the_recorded_golden(self, name, argv, stdin, code,
+                                               monkeypatch, capsys):
+        monkeypatch.setenv("ARANLP_RESOURCES", f"{GOLDENS}/resources")
+        feed(monkeypatch, stdin)
+        assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        err_path = GOLDENS / f"{name}.err"
+        assert captured.err.encode("utf-8") == (err_path.read_bytes() if err_path.exists() else b"")
+        assert captured.out.encode("utf-8") == (GOLDENS / f"{name}.out").read_bytes()
+
+    def test_broken_stdout_is_one_error_line(self, monkeypatch, capsys):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        feed(monkeypatch, "ذهب\n")
+        monkeypatch.setattr("sys.stdout", BrokenPipe())
+        assert dispatch(["morph", "--dict", MORPH]) == 1
+        assert capsys.readouterr().err == "aranlp: error: [Errno 32] Broken pipe\n"
 
 
 class TestTextCommands:
@@ -310,6 +383,13 @@ class TestNerCommands:
         assert capsys.readouterr().err == (
             "aranlp: error: line 3: row for 'ORG' has 1 labels for 2 tokens\n"
         )
+
+    def test_decode_rejects_a_second_row_for_a_type(self, monkeypatch, capsys):
+        feed(monkeypatch, "كتب ذهب\nPERS\tB I\nPERS\tO O\n")
+        assert dispatch(["ner", "decode"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "aranlp: error: line 3: a second row for type 'PERS'\n"
 
     def test_eval_modes(self, tmp_path, capsys):
         gold = [[EntitySpan(0, 2, "PERS"), EntitySpan(0, 5, "ORG")]]

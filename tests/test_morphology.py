@@ -339,15 +339,13 @@ class TestLazyRegistryLoad:
         registry = resources.ResourceRegistry(root)
 
         calls = []
-        real_loaders = resources._loaders()
+        real_load = resources._LOADERS["morph_dictionary"]
 
-        def counting_loaders():
-            def load(path):
-                calls.append(path)
-                return real_loaders["morph_dictionary"](path)
-            return {**real_loaders, "morph_dictionary": load}
+        def counting_load(path):
+            calls.append(path)
+            return real_load(path)
 
-        monkeypatch.setattr(resources, "_loaders", counting_loaders)
+        monkeypatch.setitem(resources._LOADERS, "morph_dictionary", counting_load)
         results = []
         threads = [
             threading.Thread(target=lambda: results.append(registry.load("morph_dictionary")))

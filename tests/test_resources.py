@@ -155,6 +155,8 @@ def _packaged(loader):
     return call
 
 
+_cmd_eval = _from_path(lambda path: cli._cmd_eval(argparse.Namespace(file=path)))
+
 # A comment and a blank line come first, so each bad row is at least on
 # physical line 3.
 PREAMBLE = "# header\n\n"
@@ -211,8 +213,15 @@ MALFORMED_ROWS = [
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("ner.read_matrix_file", _from_lines(ner.read_matrix_file, False),
      "كتب ذهب\nPERS B O\n", 4, "expected `TYPE<TAB>label label ...`"),
-    ("cli._cmd_eval", _from_path(lambda path: cli._cmd_eval(argparse.Namespace(file=path))),
-     "50%\n", 3, "expected `score<TAB>weight`"),
+    ("ner.read_matrix_file-repeated-type", _from_lines(ner.read_matrix_file, False),
+     "كتب ذهب\nPERS\tB I\nPERS\tO O\n", 5, "a second row for type 'PERS'"),
+    ("cli._cmd_eval", _cmd_eval, "50%\n", 3, "expected `score<TAB>weight`"),
+    ("cli._cmd_eval-percent-above-100", _cmd_eval,
+     "150%\t1\n", 3, "percent scores must lie in [0%, 100%]"),
+    ("cli._cmd_eval-negative-percent", _cmd_eval,
+     "-5%\t1\n", 3, "percent scores must lie in [0%, 100%]"),
+    ("cli._cmd_eval-not-a-number", _cmd_eval,
+     "abc\t1\n", 3, "score and weight must be numbers"),
 ]
 
 
