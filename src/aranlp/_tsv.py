@@ -28,6 +28,13 @@ the loader runs, and a loader re-enables only what it disabled, so a
 caller that turned the collector off finds it off afterwards.  Nothing
 here calls ``gc.collect()`` or ``gc.freeze()``; the objects a loader
 allocated are walked by the first collections after it returns.
+
+Loaders also return equal field values as one shared object for the
+duration of one load: the dictionary's pos tags, frequencies and
+wordform-equal lemmas, the gazetteer's type names and the graph's
+terms.  Each load builds its own tables, one
+entry per distinct value, and drops them when it returns, so two loads
+share nothing.
 """
 
 from __future__ import annotations

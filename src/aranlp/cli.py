@@ -27,7 +27,8 @@ from pathlib import Path
 from . import _tsv, evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
 from .relatedness import (
-    HashedTrigramProvider, evaluate_pairs, load_pairs, relatedness, to_unit_interval,
+    CorrelationReport, HashedTrigramProvider, evaluate_pairs, load_pairs, relatedness,
+    to_unit_interval,
 )
 
 PROG = "aranlp"
@@ -225,7 +226,7 @@ def _cmd_ner_decode(args) -> list[str]:
     return _matrix_output(ner.read_matrix_file(_read_lines(args)), args)
 
 
-def _report_output(report: evaluation.EvalReport, args) -> list[str]:
+def _report_output(report: evaluation.EvalReport | CorrelationReport, args) -> list[str]:
     return [report.render_records() if args.format == "records" else report.render_text()]
 
 
@@ -282,7 +283,9 @@ def _cmd_relatedness_score(args) -> list[str]:
 
 
 def _cmd_relatedness_eval(args) -> list[str]:
-    return [f"{evaluate_pairs(load_pairs(args.pairs), HashedTrigramProvider()):.4f}"]
+    pairs = load_pairs(args.pairs)
+    report = CorrelationReport(len(pairs), evaluate_pairs(pairs, HashedTrigramProvider()))
+    return _report_output(report, args)
 
 
 # --- syn ---------------------------------------------------------------------
@@ -437,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pairs", required=True)
     q.add_argument("--rescale", action="store_true", help="map raw cosine to [0,1] via (x+1)/2")
     q.set_defaults(handler=_cmd_relatedness_score)
-    q = rel_sub.add_parser("eval", help="Spearman rank correlation against gold scores")
+    q = rel_sub.add_parser("eval", parents=[format_],
+                           help="Spearman rank correlation against gold scores")
     q.add_argument("--pairs", required=True)
     q.set_defaults(handler=_cmd_relatedness_eval)
 

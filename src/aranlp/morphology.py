@@ -113,26 +113,44 @@ def load_dictionary(
     root).  pos tags are validated against ``tagset`` (default: the
     packaged 40-tag inventory; pass an explicit set to override, or an
     empty set to disable validation).
+
+    Equal field values come back as one shared object for the duration
+    of one load: one string per distinct pos, one int per distinct
+    frequency text, and a lemma equal to its wordform is the wordform key
+    itself.
     """
     if tagset is None:
         tagset = load_tagset()
     if isinstance(source, (str, Path)) and version is None:
         version = Path(source).name
+    # The sharing tables grow with the distinct values, not with the rows;
+    # the tag table doubles as the tag-set check.  Roots are not shared: a
+    # lookup in a table of every distinct root cost more load time than
+    # the strings it saved were worth.
+    tags = {tag: tag for tag in tagset}
+    frequencies: dict[str, int] = {}  # field text -> validated value
     entries: dict[str, tuple[MorphSolution, ...]] = {}
-    repeated: set[str] = set()  # wordforms with more than one solution
     for lineno, fields in _tsv.rows(_tsv.nfc_lines(source), 5):
         wordform, lemma, pos, root, freq_text = map(str.strip, fields)
         if not wordform or not lemma:
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
-        if tagset and pos not in tagset:
-            raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
-        try:
-            frequency = int(freq_text)
-        except ValueError:
-            raise MalformedRow(lineno, f"frequency {freq_text!r} is not an integer") from None
-        if frequency < 0:
-            raise MalformedRow(lineno, f"frequency must be non-negative, got {frequency}")
-        solution = MorphSolution(lemma, pos, root, frequency)
+        shared_pos = tags.get(pos)
+        if shared_pos is None:
+            if tagset:
+                raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
+            shared_pos = tags[pos] = pos
+        frequency = frequencies.get(freq_text)
+        if frequency is None:
+            try:
+                frequency = int(freq_text)
+            except ValueError:
+                raise MalformedRow(lineno, f"frequency {freq_text!r} is not an integer") from None
+            if frequency < 0:
+                raise MalformedRow(lineno, f"frequency must be non-negative, got {frequency}")
+            frequencies[freq_text] = frequency
+        if lemma == wordform:
+            lemma = wordform
+        solution = MorphSolution(lemma, shared_pos, root, frequency)
         solutions = entries.get(wordform)
         if solutions is None:
             entries[wordform] = (solution,)
@@ -143,11 +161,19 @@ def load_dictionary(
                 f"line {lineno}: duplicate solution for {wordform!r}: <{lemma}, {pos}, {root}>"
             )
         entries[wordform] = solutions + (solution,)
-        repeated.add(wordform)
     if not entries:
         raise EmptyDictionary("dictionary has no data rows")
-    for wordform in repeated:
-        entries[wordform] = tuple(sorted(entries[wordform], key=_rank))
+    for wordform, solutions in entries.items():
+        if len(solutions) > 1:
+            # a row after the first took its lemma from its own wordform
+            # field, not from the key
+            solutions = (
+                MorphSolution(wordform, s.pos, s.root, s.frequency)
+                if s.lemma == wordform and s.lemma is not wordform
+                else s
+                for s in solutions
+            )
+            entries[wordform] = tuple(sorted(solutions, key=_rank))
     return MorphDictionary(entries, version or "unversioned")
 
 

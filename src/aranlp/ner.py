@@ -248,15 +248,17 @@ def tag_gazetteer(
 
 
 def load_gazetteer(source: str | Path) -> dict[str, str]:
-    """Gazetteer TSV: surface n-gram <TAB> type."""
+    """Gazetteer TSV: surface n-gram <TAB> type.  Equal type names come
+    back as one shared string for the duration of one load."""
     gazetteer: dict[str, str] = {}
+    type_names: dict[str, str] = {}
     for lineno, fields in _tsv.rows(source, 2):
         ngram, type_name = fields[0].strip(), fields[1].strip()
         if not ngram or not type_name:
             raise MalformedRow(lineno, "both n-gram and type must be non-empty")
         if not 1 <= len(ngram.split()) <= GAZETTEER_MAX_TOKENS:
             raise MalformedRow(lineno, f"n-gram must have 1..{GAZETTEER_MAX_TOKENS} tokens")
-        gazetteer[ngram] = type_name
+        gazetteer[ngram] = type_names.setdefault(type_name, type_name)
     return gazetteer
 
 

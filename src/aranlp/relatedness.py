@@ -19,6 +19,7 @@ bytes are hashed per trigram; the memo holds at most
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import unicodedata
@@ -295,3 +296,18 @@ def evaluate_pairs(pairs: Sequence[SentencePair], provider: EmbeddingProvider) -
             f"pair {missing[0]}: relatedness eval requires a gold score on every row"
         )
     return spearman([p.gold for p in pairs], [relatedness(p, provider) for p in pairs])
+
+
+@dataclass(frozen=True)
+class CorrelationReport:
+    """The Spearman correlation of ``pairs`` gold scores with their
+    relatedness, rendered as `relatedness eval` prints it."""
+
+    pairs: int
+    spearman: float
+
+    def render_text(self) -> str:
+        return f"{self.spearman:.4f}"
+
+    def render_records(self) -> str:
+        return json.dumps({"metric": "spearman", "pairs": self.pairs, "score": self.spearman})

@@ -119,7 +119,18 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
 @_tsv.collector_paused()
 def build_graph(source: str | Path) -> SynonymyGraph:
     """Pair TSV: source_surface, source_lang, target_surface, target_lang,
-    lexicon_id, symmetric{0|1}.  Symmetric rows expand to both directions."""
+    lexicon_id, symmetric{0|1}.  Symmetric rows expand to both directions.
+    Equal (surface, language) pairs come back as one shared TermNode for
+    the duration of one load."""
+    nodes: dict[tuple[str, str], TermNode] = {}
+
+    def node(surface: str, language: str) -> TermNode:
+        key = (surface, language)
+        found = nodes.get(key)
+        if found is None:
+            found = nodes[key] = TermNode(surface, language)
+        return found
+
     rows = []
     for lineno, fields in _tsv.rows(source, 6):
         src_surface, src_lang, dst_surface, dst_lang, lexicon, symmetric = (
@@ -136,8 +147,8 @@ def build_graph(source: str | Path) -> SynonymyGraph:
             raise MalformedRow(lineno, f"symmetric flag must be 0 or 1, got {symmetric!r}")
         rows.append(
             (
-                TermNode(src_surface, src_lang),
-                TermNode(dst_surface, dst_lang),
+                node(src_surface, src_lang),
+                node(dst_surface, dst_lang),
                 lexicon,
                 symmetric == "1",
             )

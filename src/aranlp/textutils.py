@@ -61,7 +61,8 @@ def split_sentences(text: str, config: SplitConfig | None = None) -> list[str]:
     Segments are whitespace-trimmed at the edges and empty segments are
     dropped, so the concatenation of the output reconstructs the input up
     to trimmed whitespace.  With attach_separator the splitting codepoint
-    stays on the end of its sentence.
+    stays on the end of its sentence, unless it is white space such as
+    the line break: that is trimmed as well.
     """
     if config is None:
         config = SplitConfig()
@@ -72,7 +73,8 @@ def split_sentences(text: str, config: SplitConfig | None = None) -> list[str]:
         if ch in separators:
             body = "".join(segment).strip()
             if body:
-                sentences.append(body + ch if config.attach_separator else body)
+                attach = config.attach_separator and not ch.isspace()
+                sentences.append(body + ch if attach else body)
             segment.clear()
         else:
             segment.append(ch)

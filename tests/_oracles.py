@@ -756,3 +756,10 @@ def random_dictionary_lines(rng: random.Random, tags: list[str], rows: int = 30)
         seen.add(key)
         lines.append("\t".join(fields))
     return lines
+
+
+def one_object_per_value(values) -> bool:
+    """Whether equal items of ``values`` are one object: as many distinct
+    ids as distinct values.  The items must stay alive while it runs."""
+    values = list(values)
+    return len({id(v) for v in values}) == len(set(values))

@@ -603,6 +603,15 @@ class TestRelatednessCommands:
         with open("tests/data/relatedness_eval_expected.txt", "rb") as handle:
             assert captured.out.encode("utf-8") == handle.read()
 
+    def test_eval_records_fixture_output_is_byte_identical(self, capsys):
+        assert dispatch(["relatedness", "eval", "--pairs", RELATED, "--format", "records"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open("tests/data/relatedness_eval_expected.jsonl", "rb") as handle:
+            assert captured.out.encode("utf-8") == handle.read()
+        record = json.loads(captured.out)
+        assert f"{record['score']:.4f}\n" == Path("tests/data/relatedness_eval_expected.txt").read_text()
+
     def test_eval_requires_gold_column(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("جملة\tجملة\n", encoding="utf-8")

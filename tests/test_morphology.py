@@ -17,7 +17,13 @@ from aranlp.morphology import (
     load_tagset,
 )
 
-from _oracles import EDGE_SPACES, random_dictionary_lines, reference_load_dictionary
+from _oracles import (
+    EDGE_SPACES,
+    one_object_per_value,
+    random_dictionary_lines,
+    random_token,
+    reference_load_dictionary,
+)
 
 
 def linear_scan(path, word):
@@ -211,6 +217,56 @@ class TestLoaderOracle:
             "MalformedRow", "DuplicateExactRow", "several faults", "loaded", *self.MESSAGES,
             *self.SOURCES,
         )), seen
+
+
+class TestSharedFields:
+    """Equal field values of one load are one object."""
+
+    @staticmethod
+    def _lines(rng, tags):
+        """Rows over small pools in random order, so a wordform's rows
+        come with its lemma-equal row first or later; frequencies beyond
+        the interpreter's small-int cache, some with padding."""
+        words = [random_token(rng, 4) for _ in range(40)]
+        roots = [random_token(rng, 3) for _ in range(6)]
+        lines, seen = [], set()
+        while len(lines) < 300:
+            wordform, pos, root = rng.choice(words), rng.choice(tags), rng.choice(roots)
+            lemma = wordform if rng.random() < 0.5 else rng.choice(words)
+            if (wordform, lemma, pos, root) in seen:
+                continue
+            seen.add((wordform, lemma, pos, root))
+            frequency = rng.choice([7, 300, 70_000])
+            frequency = rng.choice(["{}", " {} "]).format(frequency)
+            padded = f" {wordform}" if rng.random() < 0.2 else wordform
+            lines.append("\t".join((padded, lemma, pos, root, frequency)))
+        return lines
+
+    def test_one_object_per_value(self):
+        rng = random.Random(1109)
+        tags = sorted(load_tagset())[:5]
+        seen = Counter()
+        for tagset in [None, frozenset(), frozenset(tags)]:
+            for _ in range(10):
+                lines = self._lines(rng, tags)
+                loaded = load_dictionary(lines, tagset=tagset)
+                assert loaded == reference_load_dictionary(lines, tagset=tagset)
+                solutions = [s for v in loaded.entries.values() for s in v]
+                for field in ("pos", "frequency"):
+                    assert one_object_per_value(getattr(s, field) for s in solutions), field
+                if tagset:
+                    assert {id(s.pos) for s in solutions} <= {id(tag) for tag in tagset}
+                for wordform, ranked in loaded.entries.items():
+                    for solution in ranked:
+                        if solution.lemma == wordform:
+                            assert solution.lemma is wordform
+                            seen["lemma is wordform"] += 1
+                first = {}
+                for line in lines:
+                    wordform, lemma = (f.strip() for f in line.split("\t")[:2])
+                    if first.setdefault(wordform, lemma) != wordform and lemma == wordform:
+                        seen["lemma-equal row after the first"] += 1
+        assert seen["lemma is wordform"] and seen["lemma-equal row after the first"], seen
 
 
 class TestAnalyze:

@@ -28,6 +28,7 @@ from aranlp.ner import (
 
 
 from _oracles import (
+    one_object_per_value,
     reference_decode,
     reference_flat,
     reference_gazetteer_rows,
@@ -385,6 +386,13 @@ class TestInterfaces:
         path.write_text("only-one-field\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_gazetteer(path)
+
+    def test_equal_type_names_are_one_object(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("مصر\tGPE\nتونس\t GPE\nوزارة الاقتصاد\tORG\nليبيا\tGPE\n", encoding="utf-8")
+        gazetteer = load_gazetteer(path)
+        assert sorted(gazetteer.values()) == ["GPE", "GPE", "GPE", "ORG"]
+        assert one_object_per_value(gazetteer.values())
 
     def test_span_file_round_trip(self, tmp_path):
         sentences = [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aranlp import synonymy
 from aranlp.errors import (
     AranlpError,
     DuplicateSeed,
@@ -26,6 +27,7 @@ from aranlp.synonymy import (
 
 from _oracles import (
     digraph_as_graph as as_graph,
+    one_object_per_value,
     oracle_cycle_scores as oracle_scores,
     random_digraph as random_graph,
     reference_cycle_members,
@@ -82,6 +84,27 @@ class TestBuildGraph:
         path.write_text("a\tar\tb\tar\tlex1\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             build_graph(path)
+
+    def test_equal_terms_are_one_node(self, tmp_path, monkeypatch):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(
+            "طريق\tar\troad\ten\tlex1\t1\n"
+            "road\ten\tسبيل\tar\tlex1\t0\n"
+            "سبيل\tar\tطريق\tar\tlex2\t0\n"
+            "road\ten\tطريق\tar\tlex2\t0\n",
+            encoding="utf-8",
+        )
+        handed = []
+        build = synonymy.graph_from_pairs
+
+        def spy(pairs):
+            handed.extend(pairs)
+            return build(handed)
+
+        monkeypatch.setattr(synonymy, "graph_from_pairs", spy)
+        graph = build_graph(path)
+        assert one_object_per_value(node for src, dst, _, _ in handed for node in (src, dst))
+        assert graph.node_count == 3
 
     def test_unknown_language_code(self, tmp_path):
         path = tmp_path / "pairs.tsv"

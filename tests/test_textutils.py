@@ -85,6 +85,10 @@ class TestSplitSentences:
         config = SplitConfig(classes=frozenset({"period", "question"}))
         assert split_sentences("أهلا. كيف حالك؟", config) == ["أهلا.", "كيف حالك؟"]
 
+    def test_white_space_separator_is_not_attached(self):
+        config = SplitConfig(custom=frozenset(" "))
+        assert split_sentences("أهلا\nكيف حالك\n", config) == ["أهلا", "كيف", "حالك"]
+
     def test_unselected_separators_ignored(self):
         config = SplitConfig(classes=frozenset({"period"}))
         assert split_sentences("أهلا! مرحبا", config) == ["أهلا! مرحبا"]
