@@ -151,7 +151,10 @@ def project_flat(
             order.setdefault(span.type, len(order))
     else:
         order = {name: i for i, name in enumerate(type_order)}
-    ranked = sorted(spans, key=lambda s: (-s.length, s.start, order[s.type]))
+    try:
+        ranked = sorted(spans, key=lambda s: (-s.length, s.start, order[s.type]))
+    except KeyError as exc:
+        raise UnknownEntityType(f"span type {exc.args[0]!r} is not in the type order") from None
     selected: list[EntitySpan] = []
     claimed: set[int] = set()
     for span in ranked:

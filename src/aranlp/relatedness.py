@@ -1,19 +1,20 @@
 """Sentence-pair relatedness: mean-pooled token embeddings compared with
 cosine similarity, plus a Spearman rank evaluation harness.
 
-The embedding model is pluggable; the shipped default is a hashed
+The embedding model is pluggable: ``relatedness`` calls only the
+provider's ``pool(sentence)``, the mean of the sentence's token vectors.
+A provider with per-token vectors implements it as
+``mean_pool(self.embed(sentence))``.  The shipped default is a hashed
 character-trigram provider that is deterministic across runs and
 platforms (fixed 64-bit FNV-1a hashing, fixed accumulation order).
 
-``relatedness`` pools that default provider without per-token vectors:
-``HashedTrigramProvider`` adds each trigram's signed unit into one integer
-count per dimension and divides the counts by the token count once.  A
-column of +-1.0 values sums to the same exact integer in any order, so this
-equals ``mean_pool(provider.embed(s))`` bit for bit.  Any other provider,
-and a subclass that overrides ``embed`` or ``_token_vector``, is pooled
-through ``embed``.  Each provider hashes through a memo of the FNV-1a state
-after a trigram's first two characters, so only the third character's
-bytes are hashed per trigram; the memo holds at most
+``HashedTrigramProvider.pool`` builds that mean without per-token vectors:
+it adds each trigram's signed unit into one integer count per dimension
+and divides the counts by the token count once.  A column of +-1.0 values
+sums to the same exact integer in any order, so this equals
+``mean_pool(provider.embed(s))`` bit for bit.  Each provider hashes through
+a memo of the FNV-1a state after a trigram's first two characters, so only
+the third character's bytes are hashed per trigram; the memo holds at most
 ``_PREFIX_MEMO_LIMIT`` (65,536) entries and is cleared when full.
 """
 
@@ -46,12 +47,11 @@ Vector = list[float]
 
 
 class EmbeddingProvider(Protocol):
-    """Deterministic per-token sentence embedder: identical sentences must
-    produce identical vectors."""
+    """Deterministic sentence embedder: identical sentences must produce
+    identical vectors.  ``pool`` returns the mean of the sentence's token
+    vectors."""
 
-    dimension: int
-
-    def embed(self, sentence: str) -> list[Vector]: ...
+    def pool(self, sentence: str) -> Vector: ...
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -78,8 +78,8 @@ class HashedTrigramProvider:
     are hashed with FNV-1a; the low bits pick the dimension index and a
     high bit picks the sign.
 
-    ``_pooled(sentence)`` is the mean of ``embed(sentence)`` built from
-    integer counts without per-token vectors; ``relatedness`` uses it.
+    ``pool(sentence)`` is the mean of ``embed(sentence)`` built from
+    integer counts without per-token vectors.
     Hashing reads the FNV-1a state after each trigram's first two
     characters from a per-provider memo of at most ``_PREFIX_MEMO_LIMIT``
     entries, cleared when full.
@@ -90,14 +90,6 @@ class HashedTrigramProvider:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         self.dimension = dimension
         self._prefix_states: dict[str, int] = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # the pooled path must equal mean_pool(embed(s)), so a subclass that
-        # changes the per-token vectors is pooled through them
-        if (cls.embed is not HashedTrigramProvider.embed
-                or cls._token_vector is not HashedTrigramProvider._token_vector):
-            cls._pooled = None
 
     def _counts(self, tokens: Sequence[str]) -> list[int]:
         """Signed trigram counts summed over the tokens, one per dimension."""
@@ -134,7 +126,7 @@ class HashedTrigramProvider:
     def embed(self, sentence: str) -> list[Vector]:
         return [self._token_vector(t) for t in self._tokens(sentence)]
 
-    def _pooled(self, sentence: str) -> Vector:
+    def pool(self, sentence: str) -> Vector:
         tokens = self._tokens(sentence)
         count = len(tokens)
         return [c / count for c in self._counts(tokens)]
@@ -217,14 +209,9 @@ class SentencePair:
 
 
 def relatedness(pair: SentencePair, provider: EmbeddingProvider) -> float:
-    """Cosine of the mean-pooled embeddings of the two sentences, reported
-    raw in [-1, 1].  A provider with a ``_pooled`` method (the trigram
-    provider) pools each sentence itself; any other goes through
-    ``mean_pool(provider.embed(s))``."""
-    pooled = getattr(provider, "_pooled", None)
-    if pooled is None:
-        return cosine(mean_pool(provider.embed(pair.s1)), mean_pool(provider.embed(pair.s2)))
-    return cosine(pooled(pair.s1), pooled(pair.s2))
+    """Cosine of the provider's pooled embeddings of the two sentences,
+    reported raw in [-1, 1]."""
+    return cosine(provider.pool(pair.s1), provider.pool(pair.s2))
 
 
 def to_unit_interval(score: float) -> float:
@@ -233,9 +220,13 @@ def to_unit_interval(score: float) -> float:
 
 
 def load_pairs(source: str | Path) -> list[SentencePair]:
-    """Pair file: s1 <TAB> s2 [<TAB> gold] per line."""
+    """Pair file: s1 <TAB> s2 [<TAB> gold] per line; neither sentence may
+    be empty or white space only."""
     pairs = []
     for lineno, fields in _tsv.rows(source, (2, 3)):
+        s1, s2 = fields[0], fields[1]
+        if not s1 or s1.isspace() or not s2 or s2.isspace():
+            raise MalformedRow(lineno, "both sentences must have at least one token")
         gold = None
         if len(fields) == 3:
             try:
@@ -243,7 +234,7 @@ def load_pairs(source: str | Path) -> list[SentencePair]:
             except ValueError:
                 raise MalformedRow(lineno, f"gold score {fields[2]!r} is not a number") from None
         try:
-            pairs.append(SentencePair(fields[0], fields[1], gold))
+            pairs.append(SentencePair(s1, s2, gold))
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from None
     return pairs

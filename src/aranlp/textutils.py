@@ -215,7 +215,7 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     if math.isnan(threshold) or math.isinf(threshold) or threshold < 0:
         raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
     kept: list[str] = []
-    kept_norms: list[float] = []
+    kept_squares: list[int] = []
     postings: dict[str, list[tuple[int, int]]] = {}
     kept_empty = False
     for sentence in sentences:
@@ -228,15 +228,18 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
             kept_empty = True
             kept.append(sentence)
             continue
-        norm = math.sqrt(sum(c * c for c in vector.values()))
+        square = sum(c * c for c in vector.values())
         dots: dict[int, int] = {}
         for token, count in vector.items():
             for k, kept_count in postings.get(token, ()):
                 dots[k] = dots.get(k, 0) + count * kept_count
-        if any(dot / (norm * kept_norms[k]) >= threshold for k, dot in dots.items()):
+        # one square root of the exact integer product, so a sentence and
+        # its copy read exactly 1.0; a product of two roots can land below it
+        if any(dot / math.sqrt(square * kept_squares[k]) >= threshold
+               for k, dot in dots.items()):
             continue
         for token, count in vector.items():
-            postings.setdefault(token, []).append((len(kept_norms), count))
-        kept_norms.append(norm)
+            postings.setdefault(token, []).append((len(kept_squares), count))
+        kept_squares.append(square)
         kept.append(sentence)
     return kept

@@ -375,8 +375,16 @@ def read_annotated_corpus(source: str | Path) -> list[AnnotatedSentence]:
     for block in _tsv.blocks(source):
         # an empty record is a sentence line without tokens
         (_, sentence), *span_lines = block or [(0, "")]
-        spans = (_tsv.span_row(lineno, line, 4, AnnotatedSpan) for lineno, line in span_lines)
-        corpus.append(AnnotatedSentence(tuple(sentence.split()), tuple(spans)))
+        tokens = tuple(sentence.split())
+        spans = []
+        for lineno, line in span_lines:
+            span = _tsv.span_row(lineno, line, 4, AnnotatedSpan)
+            if span.end > len(tokens):
+                raise MalformedRow(
+                    lineno, f"span ({span.start}, {span.end}) runs past the "
+                    f"{len(tokens)}-token sentence")
+            spans.append(span)
+        corpus.append(AnnotatedSentence(tokens, tuple(spans)))
     return corpus
 
 

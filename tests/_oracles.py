@@ -514,35 +514,36 @@ def reference_jaccard(set1, set2, mode="diacritic_aware") -> JaccardReport:
     return JaccardReport(union_size, intersection_size, similarity)
 
 
-def reference_cosine_counts(a, na, b, nb) -> float:
-    """The dedup cosine over two token Counters with precomputed norms;
-    the integer dot product is divided by the product of the norms."""
+def reference_cosine_counts(a, square_a, b, square_b) -> float:
+    """The dedup cosine over two token Counters with precomputed squared
+    norms; the integer dot product is divided by the square root of the
+    product of the squares."""
     if not a and not b:
         return 1.0
     if not a or not b:
         return 0.0
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = sum(count * large.get(token, 0) for token, count in small.items())
-    return dot / (na * nb)
+    return dot / math.sqrt(square_a * square_b)
 
 
 def reference_remove_duplicates(sentences, threshold=0.8) -> list:
     """Dedup equivalence oracle: every sentence is compared with every kept
-    sentence by reference_cosine_counts.  Unlike oracle_tf_cosine it divides
-    by the product of the two norms, so its verdicts are bit-identical to
-    the library's.  Threshold validation is not repeated here."""
+    sentence by reference_cosine_counts, all pairs rather than through an
+    inverted index, so its verdicts are bit-identical to the library's.
+    Threshold validation is not repeated here."""
     kept = []
     kept_vectors = []
     for sentence in sentences:
         vector = Counter(script.ar_strip(sentence, diacritics=True).split())
-        norm = math.sqrt(sum(c * c for c in vector.values()))
+        square = sum(c * c for c in vector.values())
         duplicate = any(
-            reference_cosine_counts(vector, norm, other, other_norm) >= threshold
-            for other, other_norm in kept_vectors
+            reference_cosine_counts(vector, square, other, other_square) >= threshold
+            for other, other_square in kept_vectors
         )
         if not duplicate:
             kept.append(sentence)
-            kept_vectors.append((vector, norm))
+            kept_vectors.append((vector, square))
     return kept
 
 

@@ -119,6 +119,13 @@ class TestProjectFlat:
         assert project_flat(spans, ["A", "B"]) == [EntitySpan(0, 2, "A")]
         assert project_flat(spans, ["B", "A"]) == [EntitySpan(0, 2, "B")]
 
+    def test_type_missing_from_the_order_is_named(self):
+        spans = [EntitySpan(0, 2, "PERS"), EntitySpan(3, 4, "ORG")]
+        with pytest.raises(UnknownEntityType, match="^span type 'ORG' is not in the type order$"):
+            project_flat(spans, ["PERS", "GPE"])
+        with pytest.raises(UnknownEntityType, match="'ORG'"):
+            project_flat(spans[1:], [])
+
     def test_matches_reference_on_random_span_sets(self):
         rng = random.Random(21)
         types = ["A", "B", "C"]

@@ -412,7 +412,7 @@ class TestPooledPath:
             sentence = random_embedding_sentence(rng)
             expected = oracle.embed(sentence)
             assert provider.embed(sentence) == expected
-            pooled = provider._pooled(sentence)
+            pooled = provider.pool(sentence)
             assert pooled == mean_pool(provider.embed(sentence))
             assert pooled == reference_mean_pool(expected)
 
@@ -439,9 +439,9 @@ class TestPooledPath:
         sentence = _cancelling_sentence(dimension)
         provider = HashedTrigramProvider(dimension)
         zero = [0.0] * dimension
-        assert provider._pooled(sentence) == zero
+        assert provider.pool(sentence) == zero
         assert reference_mean_pool(ReferenceTrigramProvider(dimension).embed(sentence)) == zero
-        assert all(math.copysign(1.0, x) == 1.0 for x in provider._pooled(sentence))
+        assert all(math.copysign(1.0, x) == 1.0 for x in provider.pool(sentence))
         with pytest.raises(ZeroVector):
             relatedness(SentencePair(sentence, "كتاب"), provider)
         with pytest.raises(ZeroVector):
@@ -460,42 +460,30 @@ class TestPooledPath:
             assert relatedness(pair, proxy) == direct
         assert proxy.embed_calls == 0
 
-    def test_subclass_overriding_embed_is_pooled_through_it(self):
-        calls = []
+    def test_a_provider_with_only_pool_is_enough(self):
+        trigram = HashedTrigramProvider(16)
 
-        class Reversed(HashedTrigramProvider):
-            def embed(self, sentence):
-                calls.append(sentence)
-                return super().embed(sentence)[::-1]
+        class PoolOnly:
+            def __init__(self):
+                self.calls = []
 
-        provider = Reversed(16)
-        oracle = ReferenceTrigramProvider(16)
+            def pool(self, sentence):
+                self.calls.append(sentence)
+                return trigram.pool(sentence)
+
+        provider = PoolOnly()
         s1, s2 = "كتاب جديد على الطاولة", "كتاب قديم"
-        expected = cosine(mean_pool(oracle.embed(s1)[::-1]), mean_pool(oracle.embed(s2)[::-1]))
+        expected = cosine(trigram.pool(s1), trigram.pool(s2))
         assert relatedness(SentencePair(s1, s2), provider) == expected
-        assert calls == [s1, s2]
-        # through a forwarding proxy the subclass's embed is still the one used
-        proxy = _Forwarding(provider)
-        assert relatedness(SentencePair(s1, s2), proxy) == expected
-        assert proxy.embed_calls == 2
-
-    def test_subclass_overriding_token_vector_is_pooled_through_it(self):
-        class Doubled(HashedTrigramProvider):
-            def _token_vector(self, token):
-                return [2.0 * x for x in super()._token_vector(token)]
-
-        provider = Doubled(16)
-        oracle = ReferenceTrigramProvider(16)
-        s1, s2 = "كتب الولد", "قرأ الولد"
-        doubled = [[2.0 * x for x in v] for v in oracle.embed(s1)]
-        assert provider.embed(s1) == doubled
-        assert relatedness(SentencePair(s1, s2), provider) == cosine(
-            mean_pool(doubled), mean_pool(provider.embed(s2))
-        )
+        assert provider.calls == [s1, s2]
+        provider.calls.clear()
+        pairs = [SentencePair(s1, s2, 0.2), SentencePair(s2, s2, 0.9), SentencePair(s2, s1, 0.5)]
+        assert evaluate_pairs(pairs, provider) == evaluate_pairs(pairs, trigram)
+        assert provider.calls == [s1, s2, s2, s2, s2, s1]
 
     def test_empty_sentence_message_is_unchanged(self):
         provider = HashedTrigramProvider()
-        for call in (provider.embed, provider._pooled,
+        for call in (provider.embed, provider.pool,
                      lambda s: relatedness(SentencePair(s, "كتاب"), provider),
                      lambda s: relatedness(SentencePair("كتاب", s), provider)):
             with pytest.raises(EmptySentence, match="^sentence has no tokens to embed$"):
@@ -512,7 +500,7 @@ class TestPooledPath:
         assert len(tokens) > _PREFIX_MEMO_LIMIT
         for start in range(0, len(tokens), 150):
             sentence = " ".join(tokens[start:start + 150])
-            assert provider._pooled(sentence) == reference_mean_pool(oracle.embed(sentence))
+            assert provider.pool(sentence) == reference_mean_pool(oracle.embed(sentence))
         assert watch.clears >= 1
         assert watch.largest == _PREFIX_MEMO_LIMIT
         assert len(watch) <= _PREFIX_MEMO_LIMIT

@@ -199,12 +199,19 @@ MALFORMED_ROWS = [
     ("read_annotated_corpus-unknown-kind", _from_path(wsd.read_annotated_corpus),
      "كتب ذهب\n0\t1\tverb\tg1\n", 4,
      "kind must be one of ('entity', 'multiword', 'singleword'), got 'verb'"),
+    ("read_annotated_corpus-span-past-the-sentence", _from_path(wsd.read_annotated_corpus),
+     "كتب ذهب\n0\t1\tentity\tPERS\n0\t5\tsingleword\tg1\n", 5,
+     "span (0, 5) runs past the 2-token sentence"),
     ("load_pairs", _from_path(load_pairs),
      "أ\tب\t0.5\tX\n", 3, "expected 2 or 3 tab-separated fields, got 4"),
     ("load_pairs-gold-not-a-number", _from_path(load_pairs),
      "أ\tب\thigh\n", 3, "gold score 'high' is not a number"),
     ("load_pairs-gold-out-of-range", _from_path(load_pairs),
      "أ\tب\t1.5\n", 3, "gold score must lie in [0, 1], got 1.5"),
+    ("load_pairs-white-space-sentence", _from_path(load_pairs),
+     "أ\tب\t0.5\nأ\t \u00a0\t0.5\n", 4, "both sentences must have at least one token"),
+    ("load_pairs-empty-sentence", _from_path(load_pairs),
+     "\tب\n", 3, "both sentences must have at least one token"),
     ("build_graph", _from_path(synonymy.build_graph),
      "ذهب\tar\tgo\ten\tL\n", 3, "expected 6 tab-separated fields, got 5"),
     ("build_graph-empty-surface", _from_path(synonymy.build_graph),

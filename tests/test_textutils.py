@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import unicodedata
 from collections import Counter
@@ -296,6 +295,10 @@ class TestJaccard:
 class TestRemoveDuplicates:
     def test_exact_duplicate_dropped(self):
         assert remove_duplicates(["A B", "A B", "C"], 0.99) == ["A B", "C"]
+        # at threshold 1.0 too, where sqrt(2) * sqrt(2) would overshoot 2
+        for sentence in ("a b", "a a b", "كتاب جديد على الطاولة"):
+            assert remove_duplicates([sentence, sentence], 1.0) == [sentence]
+        assert remove_duplicates(["a b", "b  a", "a b c"], 1.0) == ["a b", "a b c"]
 
     def test_disjoint_kept(self):
         assert remove_duplicates(["A B", "C D"], 0.5) == ["A B", "C D"]
@@ -397,8 +400,7 @@ class TestRemoveDuplicates:
                 a = Counter(ar_strip(first, diacritics=True).split())
                 b = Counter(ar_strip(second, diacritics=True).split())
                 block_thresholds.append(reference_cosine_counts(
-                    b, math.sqrt(sum(c * c for c in b.values())),
-                    a, math.sqrt(sum(c * c for c in a.values()))))
+                    b, sum(c * c for c in b.values()), a, sum(c * c for c in a.values())))
             for threshold in block_thresholds:
                 assert remove_duplicates(sentences, threshold) == reference_remove_duplicates(
                     sentences, threshold), (sentences, threshold)
