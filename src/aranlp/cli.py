@@ -230,9 +230,21 @@ def _report_output(report: evaluation.EvalReport | CorrelationReport, args) -> l
     return [report.render_records() if args.format == "records" else report.render_text()]
 
 
+def _read_gold_pred(read, args) -> tuple:
+    """read(args.gold) and read(args.pred); a MalformedRow from either
+    names its file in front of its line, since both have one format."""
+    corpora = []
+    for path in (args.gold, args.pred):
+        try:
+            corpora.append(read(path))
+        except MalformedRow as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+    return tuple(corpora)
+
+
 def _cmd_ner_eval(args) -> list[str]:
-    gold = ner.read_span_file(args.gold)
-    pred = ner.read_span_file(args.pred)
+    gold, pred = _read_gold_pred(ner.read_span_file, args)
     report, overall = ner.span_report(gold, pred, args.mode)
     scores = (f"{name} {evaluation.format_percent(v)}" for name, v in overall._asdict().items())
     print("  ".join(scores), file=sys.stderr)
@@ -261,8 +273,7 @@ def _cmd_wsd_annotate(args) -> list[str]:
 
 
 def _cmd_wsd_eval(args) -> list[str]:
-    gold = wsd.read_annotated_corpus(args.gold)
-    pred = wsd.read_annotated_corpus(args.pred)
+    gold, pred = _read_gold_pred(wsd.read_annotated_corpus, args)
     return _report_output(wsd.accuracy_report(gold, pred), args)
 
 

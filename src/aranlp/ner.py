@@ -132,7 +132,8 @@ def decode_matrix(matrix: LabelMatrix) -> list[EntitySpan]:
     within a type."""
     spans: list[EntitySpan] = []
     for type_name, row in matrix.labels.items():
-        spans.extend(EntitySpan(s, e, type_name) for s, e in decode_iob(row))
+        for start, end in decode_iob(row):
+            spans.append(EntitySpan(start, end, type_name))
     return spans
 
 
@@ -188,15 +189,37 @@ def _extend_ngram(ngram: str, token: str) -> str:
     return ngram + " " + token
 
 
+def _head_widths(keys: Iterable[str], max_tokens: int) -> dict[str, int]:
+    """Each key's head (its text before the first space) -> the most
+    tokens, at most max_tokens, that a key with that head can span.
+
+    A key equals the space-joined n-gram at a start only if it has the
+    same head as that start's token and at least n - 1 spaces, so a scan
+    may skip a start whose head is absent and join at most this many
+    tokens there.  This holds for any strings: empty tokens, tokens that
+    hold a space, and keys with a leading or doubled space.
+    """
+    widths: dict[str, int] = {}
+    for key in keys:
+        head = key.partition(" ")[0]
+        width = min(key.count(" ") + 1, max_tokens)
+        if widths.get(head, 0) < width:
+            widths[head] = width
+    return widths
+
+
 class GazetteerTagger:
     """Deterministic baseline tagger: greedy longest-match left-to-right
     per entity type over surface n-grams of 1..5 tokens.
 
     ``classify`` makes one left-to-right pass.  At each start it joins the
-    n-grams of 1..5 tokens incrementally, looks each one up once, and keeps
+    n-grams incrementally, up to the widest entry with that start's head
+    (none if there is no such entry), looks each one up once, and keeps
     the longest match of each type.  Each matched type's row is then
     filled greedily: the earliest start not covered by an earlier match
     claims its longest n-gram.  Types with no match share one all-O row.
+    The tagger indexes its copy of the gazetteer at construction, so that
+    copy (``self.gazetteer``) must not be mutated afterwards.
     """
 
     def __init__(self, gazetteer: Mapping[str, str], types: EntityTypeSet | None = None):
@@ -210,16 +233,21 @@ class GazetteerTagger:
             if type_name not in self.types:
                 raise UnknownEntityType(f"gazetteer entry {ngram!r} has unknown type {type_name!r}")
         self.gazetteer = dict(gazetteer)
+        self._widths = _head_widths(self.gazetteer, GAZETTEER_MAX_TOKENS)
 
     def classify(self, tokens: Sequence[str]) -> LabelMatrix:
         tokens = tuple(tokens)
         size = len(tokens)
         lookup = self.gazetteer.get
+        widths = self._widths.get
         # type -> {start: width of the longest n-gram of that type there},
         # with starts in increasing order.
         longest: dict[str, dict[int, int]] = {}
-        for i in range(size):
-            ngrams = accumulate(tokens[i:i + GAZETTEER_MAX_TOKENS], _extend_ngram)
+        for i, token in enumerate(tokens):
+            most = widths(token.partition(" ")[0])
+            if most is None:
+                continue
+            ngrams = accumulate(tokens[i:i + most], _extend_ngram)
             for width, ngram in enumerate(ngrams, start=1):
                 type_name = lookup(ngram)
                 if type_name is not None:
@@ -251,17 +279,19 @@ def tag_gazetteer(
 
 
 def load_gazetteer(source: str | Path) -> dict[str, str]:
-    """Gazetteer TSV: surface n-gram <TAB> type.  Equal type names come
-    back as one shared string for the duration of one load."""
+    """Gazetteer TSV: surface n-gram <TAB> type.  The n-gram is stored as
+    its whitespace-split tokens joined by one space, the form the tagger
+    joins sentence tokens into, so "a  b" is keyed "a b".  Equal type
+    names come back as one shared string for the duration of one load."""
     gazetteer: dict[str, str] = {}
     type_names: dict[str, str] = {}
     for lineno, fields in _tsv.rows(source, 2):
-        ngram, type_name = fields[0].strip(), fields[1].strip()
-        if not ngram or not type_name:
+        parts, type_name = fields[0].split(), fields[1].strip()
+        if not parts or not type_name:
             raise MalformedRow(lineno, "both n-gram and type must be non-empty")
-        if not 1 <= len(ngram.split()) <= GAZETTEER_MAX_TOKENS:
+        if len(parts) > GAZETTEER_MAX_TOKENS:
             raise MalformedRow(lineno, f"n-gram must have 1..{GAZETTEER_MAX_TOKENS} tokens")
-        gazetteer[ngram] = type_names.setdefault(type_name, type_name)
+        gazetteer[" ".join(parts)] = type_names.setdefault(type_name, type_name)
     return gazetteer
 
 

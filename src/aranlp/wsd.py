@@ -38,7 +38,7 @@ from .errors import (
 )
 from .evaluation import CategoryResult, EvalReport, micro_average
 from .morphology import MorphDictionary, analyze
-from .ner import EntitySpan, Tagger, decode_matrix, project_flat, run_tagger
+from .ner import EntitySpan, Tagger, _head_widths, decode_matrix, project_flat, run_tagger
 
 KIND_ENTITY = "entity"
 KIND_MULTIWORD = "multiword"
@@ -66,15 +66,28 @@ class Gloss:
 @dataclass(frozen=True)
 class SenseInventory:
     """Glosses for lemmatized multi-word expressions (2..5 tokens) and for
-    single-word lemmas."""
+    single-word lemmas.
+
+    Construction indexes the multi-word keys for lookup_multiword, so
+    neither dict may be mutated after construction; build a new inventory
+    instead.  The index is not a field: it takes no part in ``==`` or
+    ``repr``.
+    """
 
     multiword: dict[str, tuple[Gloss, ...]]
     singleword: dict[str, tuple[Gloss, ...]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_multiword_widths", _head_widths(self.multiword, MAX_NGRAM))
+
 
 @_tsv.collector_paused()
 def load_inventory(source: str | Path) -> SenseInventory:
-    """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text."""
+    """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text.
+
+    Keys are NFC-normalized, and an MW key is stored as its
+    whitespace-split lemmas joined by one space, the form the multi-word
+    scan joins lemmas into, so "a  b" is keyed "a b"."""
     multiword: dict[str, list[Gloss]] = {}
     singleword: dict[str, list[Gloss]] = {}
     for lineno, (kind, key, gloss_id, text) in _tsv.rows(source, 4):
@@ -83,7 +96,8 @@ def load_inventory(source: str | Path) -> SenseInventory:
         if not key or not gloss_id:
             raise MalformedRow(lineno, "lemma n-gram and gloss_id must be non-empty")
         if kind == "MW":
-            width = len(key.split())
+            key = " ".join(key.split())
+            width = key.count(" ") + 1
             if not 2 <= width <= MAX_NGRAM:
                 raise MalformedRow(lineno, f"MW key must have 2..{MAX_NGRAM} tokens, got {width}")
             bucket = multiword.setdefault(key, [])
@@ -141,12 +155,18 @@ def lookup_multiword(
     lemma string keys the multi-word inventory, accepted widest n first
     and left to right within an n; an accepted span consumes its tokens,
     so an overlapping narrower span is skipped.  Hits come back sorted by
-    start."""
+    start.  An n-gram is joined only if some key with its first lemma's
+    head spans n lemmas (the inventory's key index)."""
+    widths = inventory._multiword_widths.get
+    # the most lemmas a key can span from each start (0: no key's head)
+    bounds = [widths(lemma.partition(" ")[0], 0) for lemma in lemmas]
     accepted: list[tuple[int, int, tuple[Gloss, ...]]] = []
     claimed: set[int] = set()
     count = len(lemmas)
     for n in range(min(MAX_NGRAM, count), 1, -1):
         for start in range(count - n + 1):
+            if bounds[start] < n:
+                continue
             end = start + n
             glosses = inventory.multiword.get(" ".join(lemmas[start:end]))
             if glosses is None or not claimed.isdisjoint(range(start, end)):

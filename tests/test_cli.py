@@ -455,6 +455,17 @@ class TestNerCommands:
         pred_path.write_text(format_span_file([[], []]), encoding="utf-8")
         assert dispatch(["ner", "eval", "--gold", str(gold_path), "--pred", str(pred_path)]) == 1
 
+    @pytest.mark.parametrize("bad", ["gold", "pred"])
+    def test_eval_names_the_malformed_file(self, bad, tmp_path, capsys):
+        paths = {side: tmp_path / f"{side}.tsv" for side in ("gold", "pred")}
+        for side, path in paths.items():
+            path.write_text("2\t1\tPERS\n" if side == bad else "0\t1\tPERS\n", encoding="utf-8")
+        argv = ["ner", "eval", "--gold", str(paths["gold"]), "--pred", str(paths["pred"])]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"aranlp: error: {paths[bad]}: line 1: invalid span (2, 1)\n"
+
 
 class TestWsdCommands:
     def test_annotate_with_shim(self, monkeypatch, capsys, tmp_path):
@@ -524,6 +535,20 @@ class TestWsdCommands:
         assert records == [
             {"tokens": list(s.tokens), "spans": [vars(x) for x in s.spans]} for s in corpus
         ]
+
+    @pytest.mark.parametrize("bad", ["gold", "pred"])
+    def test_eval_names_the_malformed_file(self, bad, tmp_path, capsys):
+        paths = {side: tmp_path / f"{side}.tsv" for side in ("gold", "pred")}
+        for side, path in paths.items():
+            end = 5 if side == bad else 1
+            path.write_text(f"كتب ذهب\n0\t{end}\tentity\tPERS\n", encoding="utf-8")
+        argv = ["wsd", "eval", "--gold", str(paths["gold"]), "--pred", str(paths["pred"])]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"aranlp: error: {paths[bad]}: line 2: span (0, 5) runs past the 2-token sentence\n"
+        )
 
     @pytest.mark.parametrize("fmt, expected", [
         ("text", "wsd_annotate_expected.txt"),

@@ -237,6 +237,22 @@ class TestGazetteerTagger:
                                 seen["nested"] += 1
         assert len(seen) == 7 and min(seen.values()) > 0, seen
 
+    def test_leading_space_key_and_empty_head_match_the_reference(self):
+        # " a" is the n-gram ("", "a") and "  a" is ("", "", "a"): keys
+        # whose head is the empty token, one also longer than 5 tokens
+        # once split on single spaces.
+        types = EntityTypeSet(("PERS", "ORG"))
+        gazetteer = {" a": "PERS", "  a": "ORG", "b  c": "ORG", "a b": "PERS", "     b": "ORG"}
+        tagger = GazetteerTagger(gazetteer, types)
+        for tokens in (
+            ["", "a"], ["", "", "a"], ["b", "", "c"], ["a b"], ["x", "", "a", "b"],
+            ["", "", "", "", "", "b"], ["", ""], [""],
+        ):
+            expected = reference_gazetteer_rows(gazetteer, types, tokens)
+            assert tagger.classify(tokens).labels == expected, tokens
+        assert tagger.classify(["", "a"]).labels["PERS"] == ("B", "I")
+        assert tagger.classify(["b", "", "c"]).labels["ORG"] == ("B", "I", "I")
+
 
 class TestSpanF1:
     def test_perfect(self):
@@ -400,6 +416,14 @@ class TestInterfaces:
         gazetteer = load_gazetteer(path)
         assert sorted(gazetteer.values()) == ["GPE", "GPE", "GPE", "ORG"]
         assert one_object_per_value(gazetteer.values())
+
+    def test_loaded_entry_with_doubled_space_matches(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("زيد  عمرو\tPERS\n مصر \tGPE\n", encoding="utf-8")
+        gazetteer = load_gazetteer(path)
+        assert gazetteer == {"زيد عمرو": "PERS", "مصر": "GPE"}
+        matrix = tag_gazetteer(["زيد", "عمرو", "مصر"], gazetteer)
+        assert decode_matrix(matrix) == [EntitySpan(0, 2, "PERS"), EntitySpan(2, 3, "GPE")]
 
     def test_span_file_round_trip(self, tmp_path):
         sentences = [

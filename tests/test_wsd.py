@@ -82,6 +82,15 @@ class TestInventory:
         with pytest.raises(MalformedRow):
             load_inventory(path)
 
+    def test_mw_key_with_doubled_space_matches(self, tmp_path):
+        path = tmp_path / "inv.tsv"
+        path.write_text("MW\tأ  ب\tg1\tنص\nMW\t ج   د \tg2\tنص\n", encoding="utf-8")
+        inventory = load_inventory(path)
+        assert list(inventory.multiword) == ["أ ب", "ج د"]
+        assert [(s, e) for s, e, _ in lookup_multiword(["أ", "ب", "ج", "د"], inventory)] == [
+            (0, 2), (2, 4),
+        ]
+
     def test_duplicate_gloss_id(self, tmp_path):
         path = tmp_path / "inv.tsv"
         path.write_text("SW\tكلمة\tg1\tنص\nSW\tكلمة\tg1\tنص آخر\n", encoding="utf-8")
@@ -211,6 +220,47 @@ class TestScanMultiword:
         assert set(hit_counts) == {0, 1, 2, 3}
         # Planted keys that lost to an overlapping hit were skipped.
         assert blocked > 100
+
+    def test_empty_and_spaced_lemmas_equal_the_reference(self):
+        # An empty lemma and a lemma holding a space make keys with a
+        # leading or doubled space ("a  b" is "a", "", "b" joined) and
+        # keys whose head is the empty lemma.
+        rng = random.Random(43)
+        vocab = ["a", "b", "", "a b", "b a"]
+        seen = Counter()
+        for _ in range(2000):
+            lemmas = [rng.choice(vocab) for _ in range(rng.randint(0, 9))]
+            keys = set()
+            for _ in range(rng.randint(0, 5)):
+                n = rng.randint(2, 6)
+                if n <= len(lemmas) and rng.random() < 0.7:
+                    start = rng.randint(0, len(lemmas) - n)
+                    keys.add(" ".join(lemmas[start:start + n]))
+                else:
+                    keys.add(" ".join(rng.choice(vocab) for _ in range(n)))
+            inv = SenseInventory({k: (Gloss(f"g{i}", "x"),) for i, k in enumerate(sorted(keys))}, {})
+            spans = reference_lookup_multiword(generate_ngrams(lemmas, lemmas), inv)
+            expected = [(span.start, span.end, glosses) for span, glosses in spans]
+            assert wsd.lookup_multiword(lemmas, inv) == expected, (lemmas, keys)
+            for start, end, _ in expected:
+                key = " ".join(lemmas[start:end])
+                seen["doubled space"] += "  " in key
+                seen["empty head"] += key.startswith(" ")
+                seen["lemma with a space"] += any(" " in lemma for lemma in lemmas[start:end])
+        assert len(seen) == 3 and min(seen.values()) > 0, seen
+
+    def test_inventory_built_by_hand_equals_the_loaded_one(self, tmp_path):
+        multiword = {"a b": (Gloss("g1", "x"),), "b c d": (Gloss("g2", "y"),)}
+        path = tmp_path / "inv.tsv"
+        rows = (f"MW\t{k}\t{g.gloss_id}\t{g.text}\n" for k, gs in multiword.items() for g in gs)
+        path.write_text("".join(rows), encoding="utf-8")
+        loaded, by_hand = load_inventory(path), SenseInventory(dict(multiword), {})
+        assert by_hand == loaded
+        assert repr(by_hand) == repr(loaded)
+        lemmas = list("abcdab")
+        assert wsd.lookup_multiword(lemmas, by_hand) == wsd.lookup_multiword(lemmas, loaded) == [
+            (1, 4, multiword["b c d"]), (4, 6, multiword["a b"]),
+        ]
 
     def test_sentence_shorter_than_two_tokens(self):
         inv = SenseInventory({"a b": (Gloss("g", "x"),)}, {})
