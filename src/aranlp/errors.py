@@ -37,6 +37,10 @@ class UnknownSeparatorClass(AranlpError, ValueError):
     """Sentence splitting named a separator class that does not exist."""
 
 
+class InvalidSeparator(AranlpError, ValueError):
+    """A custom sentence separator is not exactly one codepoint."""
+
+
 class InvalidThreshold(AranlpError):
     """Similarity threshold is negative or not a finite number."""
 

@@ -17,7 +17,9 @@ Conventions
 * ``ar_strip(..., special_chars=True)`` covers Unicode punctuation and
   symbol categories (``P*``/``S*``); plain letters, digits, and combining
   marks are never touched by that flag.  It is the only per-character
-  rule: the other five flags select one cached translation table.
+  rule: the other five flags select one cached strip kernel, at most
+  two compiled character-class substitutions (deletions, then alif
+  unification), built on first use of that flag combination.
 * "alif unification" maps the variants {0623, 0625, 0622, 0671} to bare
   alif 0627; the variants are never deleted outright.
 """
@@ -25,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import re
 import unicodedata
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -187,22 +190,30 @@ def decompose(text: str) -> SkeletonWord:
     )
 
 
+def _char_class(chars) -> re.Pattern[str]:
+    return re.compile("[" + "".join(map(re.escape, chars)) + "]")
+
+
 @functools.cache
-def _strip_table(
+def _strip_kernel(
     diacritics: bool, shaddah: bool, digits: bool, unify_alif: bool, tatweel: bool
-) -> dict[int, str | None]:
-    """The ``str.translate`` table for one combination of the five table
-    flags; callers pass bools, so the cache holds at most 32 tables."""
+) -> tuple[tuple[re.Pattern[str], str], ...]:
+    """The ``(pattern, replacement)`` steps for one combination of the five
+    table flags: one class of every deleted codepoint, replaced by ``""``,
+    and with ``unify_alif`` one class of the alif variants, replaced by
+    ALIF.  The two classes are disjoint, so their order does not matter.
+    Callers pass bools, so the cache holds at most 32 kernels."""
     removed = {"vowel": diacritics, "mark": diacritics, "shaddah": shaddah,
                "tatweel": tatweel}
-    table: dict[int, str | None] = {
-        ord(ch): None for ch, category in _CATEGORY.items() if removed.get(category)
-    }
+    deleted = [ch for ch, category in _CATEGORY.items() if removed.get(category)]
     if digits:
-        table.update(dict.fromkeys(map(ord, DIGITS)))
+        deleted.extend(sorted(DIGITS))
+    steps = []
+    if deleted:
+        steps.append((_char_class(deleted), ""))
     if unify_alif:
-        table.update(dict.fromkeys(map(ord, ALIF_VARIANTS), ALIF))
-    return table
+        steps.append((_char_class(sorted(ALIF_VARIANTS)), ALIF))
+    return tuple(steps)
 
 
 def ar_strip(
@@ -224,10 +235,15 @@ def ar_strip(
     alif; ``special_chars`` removes Unicode punctuation and symbols.
     All-false flags are the identity.  Total on any string: unknown
     codepoints pass through untouched.
+
+    The five table flags run as at most two compiled character-class
+    substitutions, built once per flag combination; ``special_chars``
+    is a per-character category test after them.
     """
-    text = text.translate(_strip_table(
+    for pattern, replacement in _strip_kernel(
         bool(diacritics), bool(shaddah), bool(digits), bool(unify_alif), bool(tatweel)
-    ))
+    ):
+        text = pattern.sub(replacement, text)
     if special_chars:
         text = "".join(ch for ch in text if unicodedata.category(ch)[0] not in ("P", "S"))
     return text

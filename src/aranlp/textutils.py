@@ -13,8 +13,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
-from .errors import EmptySeparatorSet, InvalidThreshold, UnknownSeparatorClass
+from .errors import (
+    EmptySeparatorSet,
+    InvalidSeparator,
+    InvalidThreshold,
+    UnknownSeparatorClass,
+)
 from .script import ar_strip, decompose
 
 IDENTICAL = "identical"
@@ -34,7 +40,8 @@ class SplitConfig:
     """Separator selection for sentence splitting.
 
     ``classes`` holds names from SEPARATOR_CLASSES; ``custom`` holds extra
-    separator codepoints.  The combined set must be non-empty.
+    separator codepoints, each a string of exactly one codepoint.  The
+    combined set must be non-empty.
     """
 
     classes: frozenset[str] = frozenset({"period", "question", "exclamation", "linebreak"})
@@ -45,6 +52,14 @@ class SplitConfig:
         unknown = self.classes - SEPARATOR_CLASSES.keys()
         if unknown:
             raise UnknownSeparatorClass(f"unknown separator classes: {sorted(unknown)}")
+        invalid = sorted(
+            (sep for sep in self.custom if not (isinstance(sep, str) and len(sep) == 1)),
+            key=repr,
+        )
+        if invalid:
+            raise InvalidSeparator(
+                f"custom separators must be single codepoints, got: {invalid}"
+            )
         if not self.classes and not self.custom:
             raise EmptySeparatorSet("at least one separator must be selected")
 
@@ -206,7 +221,10 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
 
     Cost: an inverted index from token to kept sentences accumulates the
     dot products term at a time, so a sentence does work only on the
-    tokens it shares with kept ones; the others have cosine 0.
+    tokens it shares with kept ones; the others have cosine 0.  Each
+    sentence is stripped once through the module-global ``ar_strip``,
+    and its squared norm stays an exact integer, so the verdicts do not
+    depend on summation order.
     """
     try:
         threshold = float(threshold)
@@ -228,18 +246,25 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
             kept_empty = True
             kept.append(sentence)
             continue
-        square = sum(c * c for c in vector.values())
+        counts = vector.values()
+        square = sum(map(mul, counts, counts))
         dots: dict[int, int] = {}
         for token, count in vector.items():
             for k, kept_count in postings.get(token, ()):
                 dots[k] = dots.get(k, 0) + count * kept_count
         # one square root of the exact integer product, so a sentence and
         # its copy read exactly 1.0; a product of two roots can land below it
-        if any(dot / math.sqrt(square * kept_squares[k]) >= threshold
-               for k, dot in dots.items()):
-            continue
-        for token, count in vector.items():
-            postings.setdefault(token, []).append((len(kept_squares), count))
-        kept_squares.append(square)
-        kept.append(sentence)
+        for k, dot in dots.items():
+            if dot / math.sqrt(square * kept_squares[k]) >= threshold:
+                break
+        else:
+            index = len(kept_squares)
+            for token, count in vector.items():
+                posting = postings.get(token)
+                if posting is None:
+                    postings[token] = [(index, count)]
+                else:
+                    posting.append((index, count))
+            kept_squares.append(square)
+            kept.append(sentence)
     return kept

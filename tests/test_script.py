@@ -26,6 +26,7 @@ from _oracles import (
 )
 
 STRIP_FLAGS = ("diacritics", "shaddah", "digits", "unify_alif", "special_chars", "tatweel")
+TABLE_FLAGS = tuple(name for name in STRIP_FLAGS if name != "special_chars")
 ALL_FLAG_SETTINGS = [
     dict(zip(STRIP_FLAGS, values)) for values in itertools.product((False, True), repeat=6)
 ]
@@ -160,6 +161,17 @@ class TestArStrip:
             got = [ar_strip(ch, **flags) for ch in chars]
             assert got == [reference_ar_strip(ch, **flags) for ch in chars], flags
 
+    def test_matches_reference_on_every_bmp_codepoint_at_once(self):
+        # one string, so each table flag setting runs its kernel over every
+        # BMP codepoint (lone surrogates included), a few astral ones, and
+        # the characters that are special inside a regex character class
+        text = "".join(map(chr, range(0x10000))) + (
+            "\U00010000\U0001d7d8\U0001ee00\U0001f600\U0010ffff" + "[]\\^-"
+        )
+        for values in itertools.product((False, True), repeat=5):
+            flags = dict(zip(TABLE_FLAGS, values))
+            assert ar_strip(text, **flags) == reference_ar_strip(text, **flags), flags
+
     def test_flags_are_keyword_only(self):
         with pytest.raises(TypeError):
             ar_strip("فَ", True)
@@ -175,7 +187,7 @@ class TestArStrip:
             assert ar_strip("أَبّـ1؟", **flags) == ar_strip("أَبّـ1؟", **{
                 name: bool(value) for name in STRIP_FLAGS
             })
-        assert script._strip_table.cache_info().currsize <= 32
+        assert script._strip_kernel.cache_info().currsize <= 32
 
 
 class TestBuckwalter:

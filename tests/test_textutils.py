@@ -9,6 +9,7 @@ from aranlp import textutils
 from aranlp.errors import (
     AranlpError,
     EmptySeparatorSet,
+    InvalidSeparator,
     InvalidThreshold,
     NonArabicLetter,
     UnknownSeparatorClass,
@@ -113,6 +114,19 @@ class TestSplitSentences:
             SplitConfig(classes=frozenset({"period", "bogus"}))
         assert type(err.value) is UnknownSeparatorClass
         assert str(err.value) == "unknown separator classes: ['bogus']"
+
+    @pytest.mark.parametrize("base", [AranlpError, ValueError])
+    @pytest.mark.parametrize("custom, named", [
+        (frozenset({"..", "|"}), "['..']"),
+        (frozenset({""}), "['']"),
+        (frozenset({"ab", "", "|"}), "['', 'ab']"),
+        (frozenset({5, "|"}), "[5]"),
+    ])
+    def test_custom_entry_not_one_codepoint_is_a_typed_value_error(self, base, custom, named):
+        with pytest.raises(base) as err:
+            SplitConfig(classes=frozenset(), custom=custom)
+        assert type(err.value) is InvalidSeparator
+        assert str(err.value) == f"custom separators must be single codepoints, got: {named}"
 
     def test_empty_segments_dropped(self):
         config = SplitConfig(classes=frozenset({"period"}))
@@ -348,6 +362,21 @@ class TestRemoveDuplicates:
         assert remove_duplicates(["A", "", "B"], 0.0) == ["A"]
         assert remove_duplicates(["", "A", ""], 1.0) == ["", "A"]
         assert remove_duplicates(["", "A", ""], 1.01) == ["", "A", ""]
+
+    def test_strips_each_sentence_once_through_the_module_global(self, monkeypatch):
+        calls = []
+        original = textutils.ar_strip
+
+        def counting(text, **flags):
+            calls.append(text)
+            return original(text, **flags)
+
+        monkeypatch.setattr(textutils, "ar_strip", counting)
+        sentences = ["فَعلَ", "فعل", "", "a b", "a b", "b a c", " "]
+        for threshold in (0.0, 0.8, 1.0, 1.01):
+            calls.clear()
+            remove_duplicates(sentences, threshold)
+            assert calls == sentences, threshold
 
     def test_equals_all_kept_reference(self):
         rng = random.Random(5150)
