@@ -18,6 +18,7 @@ closed pipe) exit 1 with one `aranlp: error:` line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,9 +45,15 @@ def _read_lines(args) -> list[str]:
     return _read_text(args).splitlines()
 
 
+def _fields(value) -> dict:
+    """A dataclass instance (a span, a solution, a verdict) as its fields
+    in declaration order, one level deep."""
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
 def _record(obj) -> str:
-    """One JSON line; a dataclass (a span, a solution) becomes its fields."""
-    return json.dumps(obj, ensure_ascii=False, default=vars)
+    """One JSON line; a dataclass becomes its fields."""
+    return json.dumps(obj, ensure_ascii=False, default=_fields)
 
 
 # --- translit / strip / split / match / jaccard / dedup -------------------
@@ -116,7 +123,7 @@ def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
 def _match_line(w1: str, w2: str, fmt: str) -> str:
     verdict = textutils.match_words(w1, w2)
     if fmt == "records":
-        return _record({"w1": w1, "w2": w2, **vars(verdict)})
+        return _record({"w1": w1, "w2": w2, **_fields(verdict)})
     if verdict.first_conflict is None:
         return verdict.relation
     return f"{verdict.relation}\t{verdict.first_conflict}"
@@ -160,7 +167,7 @@ def _morph_fields(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, morphology.MorphSolution):
-        return "\t".join(map(str, vars(value).values()))
+        return "\t".join(map(str, _fields(value).values()))
     return value
 
 

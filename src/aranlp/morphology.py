@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _tsv
+from ._record import record
 from .errors import DuplicateExactRow, EmptyDictionary, MalformedRow
 from .script import ar_strip
 
@@ -32,7 +33,7 @@ SOURCE_OOV = "oov"
 FallbackFn = Callable[[str], "MorphSolution | None"]
 
 
-@dataclass(frozen=True)
+@record
 class MorphSolution:
     lemma: str
     pos: str
@@ -49,7 +50,7 @@ class MorphDictionary:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class TaggedToken:
     surface: str
     solution: MorphSolution | None
@@ -115,20 +116,19 @@ def load_dictionary(
     empty set to disable validation).
 
     Equal field values come back as one shared object for the duration
-    of one load: one string per distinct pos, one int per distinct
-    frequency text, and a lemma equal to its wordform is the wordform key
-    itself.
+    of one load: one string per distinct pos and per distinct root, one
+    int per distinct frequency text, and a lemma equal to its wordform is
+    the wordform key itself.
     """
     if tagset is None:
         tagset = load_tagset()
     if isinstance(source, (str, Path)) and version is None:
         version = Path(source).name
     # The sharing tables grow with the distinct values, not with the rows;
-    # the tag table doubles as the tag-set check.  Roots are not shared: a
-    # lookup in a table of every distinct root cost more load time than
-    # the strings it saved were worth.
+    # the tag table doubles as the tag-set check.
     tags = {tag: tag for tag in tagset}
     frequencies: dict[str, int] = {}  # field text -> validated value
+    roots: dict[str, str] = {}
     entries: dict[str, tuple[MorphSolution, ...]] = {}
     for lineno, fields in _tsv.rows(_tsv.nfc_lines(source), 5):
         wordform, lemma, pos, root, freq_text = map(str.strip, fields)
@@ -150,6 +150,7 @@ def load_dictionary(
             frequencies[freq_text] = frequency
         if lemma == wordform:
             lemma = wordform
+        root = roots.setdefault(root, root)
         solution = MorphSolution(lemma, shared_pos, root, frequency)
         solutions = entries.get(wordform)
         if solutions is None:

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Protocol
 
 from . import _tsv
+from ._record import record
 from .errors import (
     EmptyCandidates,
     MalformedRow,
@@ -178,7 +179,7 @@ def lookup_multiword(
     return accepted
 
 
-@dataclass(frozen=True)
+@record
 class VerificationPair:
     """A (context, gloss) pair with complementary true/false probabilities."""
 
@@ -267,7 +268,7 @@ class OracleVerifier:
         return 1.0 if gloss.gloss_id in self.gold_gloss_ids else 0.0
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedSpan:
     """One output record: an entity span, a disambiguated multi-word
     expression, or a disambiguated single word."""

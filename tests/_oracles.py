@@ -12,6 +12,7 @@ import unicodedata
 import warnings
 from collections import Counter
 from collections.abc import Sequence
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from aranlp import _tsv, morphology, script
 from aranlp.errors import DuplicateExactRow, EmptyDictionary, MalformedRow
 from aranlp.morphology import MorphDictionary, MorphSolution
-from aranlp.ner import decode_matrix, project_flat, run_tagger
+from aranlp.ner import EntitySpan, decode_matrix, project_flat, run_tagger
 from aranlp.wsd import (
     KIND_ENTITY,
     KIND_MULTIWORD,
@@ -102,6 +103,29 @@ def reference_ner_eval_counts(gold, pred, mode):
         for type_name in sorted(gold_n | pred_n)
     }
     return per_type, (gold_n.total(), pred_n.total(), correct_n.total())
+
+
+def reference_matrix_error(tokens, labels) -> str | None:
+    """LabelMatrix's check as it was before rows were shared: every type's
+    row on its own, in row order; the message for the first invalid one,
+    or None."""
+    for type_name, row in labels.items():
+        if len(row) != len(tokens):
+            return f"row for {type_name!r} has {len(row)} labels for {len(tokens)} tokens"
+        bad = sorted(set(row) - set("BIO"))
+        if bad:
+            return f"row for {type_name!r} has invalid labels {bad}"
+    return None
+
+
+def reference_decode_matrix(labels) -> list:
+    """decode_matrix as it was before rows were shared: every type's row
+    decoded on its own."""
+    return [
+        EntitySpan(start, end, type_name)
+        for type_name, row in labels.items()
+        for start, end in reference_decode(row)
+    ]
 
 
 def reference_gazetteer_rows(gazetteer, types, tokens, max_tokens=5) -> dict:
@@ -764,3 +788,18 @@ def one_object_per_value(values) -> bool:
     ids as distinct values.  The items must stay alive while it runs."""
     values = list(values)
     return len({id(v) for v in values}) == len(set(values))
+
+
+def plain_dataclass_twin(cls: type) -> type:
+    """A plain ``@dataclass(frozen=True)`` with the fields, defaults and
+    ``__post_init__`` of the record ``cls``: the class as it was declared
+    before it became a slotted record."""
+    fields = [
+        (f.name, f.type) if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    namespace = {}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)

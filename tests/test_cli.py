@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -267,6 +268,20 @@ class TestMorphCommand:
         assert dispatch(["morph", "--all", "--dict", MORPH]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    def test_whole_solutions_render_as_their_fields(self, monkeypatch, capsys):
+        solution = {"lemma": "ذَهَبٌ", "pos": "noun", "root": "ذهب", "frequency": 100}
+        feed(monkeypatch, "ذهب قق\n")
+        assert dispatch(["morph", "--all", "--dict", MORPH]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ذهب\t2\tذَهَبٌ\tnoun\tذهب\t100", "ذهب\t3\tأَذْهَبَ\tverb\tذهب\t50", "قق\t-",
+        ]
+        feed(monkeypatch, "ذهب\n")
+        assert dispatch(["morph", "--all", "--format", "records", "--dict", MORPH]) == 0
+        assert json.loads(capsys.readouterr().out)["solutions"][1] == solution
+        feed(monkeypatch, "ذهب\n")
+        assert dispatch(["morph", "--dict", MORPH]) == 0
+        assert capsys.readouterr().out == "ذهب\tذَهَبَ\tverb\tذهب\t900\texact\n"
+
     def test_records(self, monkeypatch, capsys):
         feed(monkeypatch, "ذهب\n")
         assert dispatch(["morph", "--task", "lemma", "--format", "records", "--dict", MORPH]) == 0
@@ -533,7 +548,7 @@ class TestWsdCommands:
         assert dispatch([*command, "--format", "records"]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert records == [
-            {"tokens": list(s.tokens), "spans": [vars(x) for x in s.spans]} for s in corpus
+            {"tokens": list(s.tokens), "spans": [dataclasses.asdict(x) for x in s.spans]} for s in corpus
         ]
 
     @pytest.mark.parametrize("bad", ["gold", "pred"])

@@ -252,7 +252,7 @@ class TestSharedFields:
                 loaded = load_dictionary(lines, tagset=tagset)
                 assert loaded == reference_load_dictionary(lines, tagset=tagset)
                 solutions = [s for v in loaded.entries.values() for s in v]
-                for field in ("pos", "frequency"):
+                for field in ("pos", "root", "frequency"):
                     assert one_object_per_value(getattr(s, field) for s in solutions), field
                 if tagset:
                     assert {id(s.pos) for s in solutions} <= {id(tag) for tag in tagset}

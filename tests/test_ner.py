@@ -30,8 +30,10 @@ from aranlp.ner import (
 from _oracles import (
     one_object_per_value,
     reference_decode,
+    reference_decode_matrix,
     reference_flat,
     reference_gazetteer_rows,
+    reference_matrix_error,
     reference_ner_eval_counts,
 )
 
@@ -100,6 +102,69 @@ class TestDecodeMatrix:
         reversed_rows = dict(reversed(rows.items()))
         backward = decode_matrix(LabelMatrix(tokens, reversed_rows))
         assert sorted(map(repr, forward)) == sorted(map(repr, backward))
+
+
+class TestSharedRows:
+    """LabelMatrix checks, and decode_matrix decodes, each distinct row
+    object once; the per-row oracles check every type's row."""
+
+    TYPES = ("PERS", "ORG", "LOC", "GPE", "EVENT", "DATE")
+
+    @staticmethod
+    def _row(rng, size, valid):
+        row = [rng.choice("BIO") for _ in range(size)]
+        if not valid:
+            if rng.random() < 0.5 or not row:
+                row = row[:-1] if row and rng.random() < 0.5 else [*row, "O"]
+            else:
+                row[rng.randrange(size)] = rng.choice(["X", "b"])
+        return tuple(row)
+
+    def _check(self, tokens, labels):
+        expected_error = reference_matrix_error(tokens, labels)
+        if expected_error is not None:
+            with pytest.raises(ValueError) as info:
+                LabelMatrix(tokens, labels)
+            assert str(info.value) == expected_error
+            return False
+        assert decode_matrix(LabelMatrix(tokens, labels)) == reference_decode_matrix(labels)
+        return True
+
+    def test_random_matrices_with_shared_rows(self):
+        rng = random.Random(2101)
+        seen = Counter()
+        for _ in range(600):
+            size = rng.randint(0, 6)
+            pool = [self._row(rng, size, rng.random() < 0.9) for _ in range(rng.randint(1, 3))]
+            labels = {}
+            for type_name in rng.sample(self.TYPES, rng.randint(1, len(self.TYPES))):
+                row = rng.choice(pool)
+                # an equal row that is a distinct object
+                labels[type_name] = tuple(list(row)) if rng.random() < 0.3 else row
+            distinct = len({id(row) for row in labels.values()})
+            seen["shared" if distinct < len(labels) else "unshared"] += 1
+            seen["valid" if self._check(tuple("t" * size), labels) else "invalid"] += 1
+        assert min(seen.values()) > 30, seen
+
+    def test_all_types_share_one_row(self):
+        tokens = ("a", "b", "c")
+        for row in [("O",) * 3, ("B", "I", "O"), ("I", "O", "B")]:
+            labels = dict.fromkeys(self.TYPES, row)
+            assert self._check(tokens, labels)
+
+    def test_equal_rows_that_are_distinct_objects(self):
+        tokens = ("a", "b")
+        labels = {t: tuple(["B", "I"]) for t in self.TYPES}
+        assert len({id(row) for row in labels.values()}) == len(self.TYPES)
+        assert self._check(tokens, labels)
+
+    @pytest.mark.parametrize("bad", [("B", "X"), ("B",)])
+    def test_shared_invalid_row_is_reported_under_its_first_type(self, bad):
+        tokens = ("a", "b")
+        labels = {"PERS": ("O", "O"), "ORG": bad, "LOC": ("B", "I"), "GPE": bad}
+        assert not self._check(tokens, labels)
+        with pytest.raises(ValueError, match="'ORG'"):
+            LabelMatrix(tokens, labels)
 
 
 class TestProjectFlat:
