@@ -36,7 +36,6 @@ from .relatedness import (
     SentencePair,
     cosine,
     mean_pool,
-    relatedness,
     spearman,
 )
 from .script import (
@@ -111,7 +110,6 @@ __all__ = [
     "mean_pool",
     "micro_average",
     "project_flat",
-    "relatedness",
     "remove_duplicates",
     "select_sense",
     "span_f1",

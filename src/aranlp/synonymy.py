@@ -47,10 +47,15 @@ class SynonymyGraph:
     lexicon labels merged.  Immutable after build.
 
     Build one with graph_from_pairs or build_graph only: they also fill
-    the private id index that the cycle search walks.  Each node has one
-    integer id, so _nodes_by_id[_node_ids[n]] == n for every node, and
-    _adjacency[i] holds the ids of outgoing(_nodes_by_id[i]) in the same
-    order.  The index takes no part in equality or repr."""
+    the three private indexes that the cycle search walks.
+
+    - The id table: each node has one integer id, so
+      _nodes_by_id[_node_ids[n]] == n for every node.
+    - _adjacency[i] holds the ids of outgoing(_nodes_by_id[i]) in the
+      same order.
+    - _predecessors[i] holds each id with an edge into i, once.
+
+    The indexes take no part in equality or repr."""
 
     nodes: frozenset[TermNode]
     successors: dict[TermNode, tuple[TermNode, ...]]
@@ -58,6 +63,7 @@ class SynonymyGraph:
     _nodes_by_id: tuple[TermNode, ...] = field(compare=False, repr=False)
     _node_ids: dict[TermNode, int] = field(compare=False, repr=False)
     _adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    _predecessors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     # equality covers the successor and label dicts, which cannot hash
     __hash__ = None
@@ -96,8 +102,10 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
     by_id = tuple(ids)
     order = [(n.language, n.surface) for n in by_id]
     targets: dict[int, list[int]] = {}
+    sources: list[list[int]] = [[] for _ in by_id]
     for s, d in edges:
         targets.setdefault(s, []).append(d)
+        sources[d].append(s)
     adjacency: list[tuple[int, ...]] = [()] * len(by_id)
     for s, ds in targets.items():
         adjacency[s] = tuple(sorted(ds, key=order.__getitem__))
@@ -113,6 +121,7 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
         _nodes_by_id=by_id,
         _node_ids=ids,
         _adjacency=tuple(adjacency),
+        _predecessors=tuple(map(tuple, sources)),
     )
 
 
@@ -166,45 +175,72 @@ class FuzzyResult:
         return format_percent(float(self.score))
 
 
-def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set[TermNode]:
-    """Vertices lying on some simple cycle through the seed with at most
-    max_length edges: a depth-bounded DFS over simple paths from the seed,
-    walking node ids with an explicit stack of adjacency iterators."""
-    start = graph._node_ids.get(seed)
-    if start is None:
-        return set()
+def _cycle_member_ids(graph: SynonymyGraph, start: int, max_length: int) -> set[int]:
+    """Ids of the vertices lying on some simple cycle through the seed id
+    with at most max_length edges.
+
+    Cost: an iterative DFS over simple paths from the seed down to depth
+    max_length - 3 (edges from the seed), plus one set intersection per
+    successor of each vertex at that depth.  A pushed vertex that is a
+    predecessor of the seed closes a cycle.  The last two steps are not
+    walked: a successor b of a vertex at the deepest depth closes a cycle
+    if it is a predecessor, and the predecessors among b's successors,
+    less the path, close the longest ones."""
     adjacency = graph._adjacency
-    on_path = [False] * len(adjacency)  # the seed is tested by id first
+    back = set(graph._predecessors[start])
+    if max_length < 3:
+        return back.intersection(adjacency[start]) if max_length == 2 else set()
+    # a set: a per-node flag list costs one allocation of the node count
+    # per seed, more than the whole level-2 search
+    on_path = {start}
     members: set[int] = set()
     path: list[int] = []  # the vertices after the seed, one per pushed iterator
+
+    def close(top: int) -> None:
+        for b in adjacency[top]:
+            if b in on_path:
+                continue
+            closing = back.intersection(adjacency[b])
+            if closing:
+                closing.difference_update(path)
+            if closing or b in back:
+                members.update(path)
+                members.add(b)
+                members.update(closing)
+
+    deepest = max_length - 3
+    if deepest == 0:
+        close(start)
+        return members
     stack = [iter(adjacency[start])]
     while stack:
-        depth = len(path)  # edges from the seed to the vertex on top
         for nxt in stack[-1]:
-            if nxt == start:
-                # only vertices at depth <= max_length - 2 are pushed, so
-                # this cycle is short enough; at the seed path is empty
-                members.update(path)
-                continue
-            # a cycle through nxt takes depth + 2 edges at least
-            if on_path[nxt] or depth + 2 > max_length:
-                continue
-            if depth + 2 == max_length:
-                # nxt can only close the cycle itself: no push needed
-                if start in adjacency[nxt]:
-                    members.update(path)
-                    members.add(nxt)
+            if nxt in on_path:
                 continue
             path.append(nxt)
-            on_path[nxt] = True
-            stack.append(iter(adjacency[nxt]))
-            break
+            on_path.add(nxt)
+            if nxt in back:
+                members.update(path)
+            if len(path) < deepest:
+                stack.append(iter(adjacency[nxt]))
+                break
+            close(nxt)
+            on_path.remove(path.pop())
         else:
             stack.pop()
             if path:
-                on_path[path.pop()] = False
+                on_path.remove(path.pop())
+    return members
+
+
+def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set[TermNode]:
+    """_cycle_member_ids for a seed node; a node absent from the graph has
+    no members."""
+    start = graph._node_ids.get(seed)
+    if start is None:
+        return set()
     nodes = graph._nodes_by_id
-    return {nodes[i] for i in members}
+    return {nodes[i] for i in _cycle_member_ids(graph, start, max_length)}
 
 
 def _seed_support(
@@ -215,9 +251,9 @@ def _seed_support(
     caller: str,
     minimum: int,
     noun: str,
-) -> Counter[TermNode]:
+) -> Counter[int]:
     """Check the level (an int, not a bool, at least 1), then the terms;
-    then count, for each node, the terms that support it.  Each absent
+    then count, for each node id, the terms that support it.  Each absent
     term gets a SeedNotInGraphWarning attributed to the code that called
     syn_extract or syn_eval."""
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
@@ -227,11 +263,12 @@ def _seed_support(
     duplicates = {t for t, n in Counter(terms).items() if n > 1}
     if duplicates:
         raise DuplicateSeed(f"duplicated term(s): {sorted(duplicates)}")
-    support: Counter[TermNode] = Counter()
+    node_ids = graph._node_ids
+    support: Counter[int] = Counter()
     for surface in terms:
-        node = TermNode(surface, language)
-        if node in graph:
-            support.update(_cycle_members(graph, node, 2 * level))
+        start = node_ids.get(TermNode(surface, language))
+        if start is not None:
+            support.update(_cycle_member_ids(graph, start, 2 * level))
         else:
             warnings.warn(
                 f"{noun} {surface!r} ({language}) is not in the graph",
@@ -252,14 +289,17 @@ def syn_extract(
     candidates are omitted.  An absent seed warns and still counts in the
     denominator."""
     support = _seed_support(seeds, level, graph, language, "syn_extract", 1, "seed")
-    seed_nodes = {TermNode(s, language) for s in seeds}
-    results = [
-        FuzzyResult(term, Fraction(count, len(seeds)))
-        for term, count in support.items()
-        if term.language == language and term not in seed_nodes
+    nodes = graph._nodes_by_id
+    # a node in the seed language with a seed's surface is that seed
+    seed_surfaces = set(seeds)
+    ranked = [
+        (count, node)
+        for i, count in support.items()
+        if (node := nodes[i]).language == language and node.surface not in seed_surfaces
     ]
-    results.sort(key=lambda r: (-r.score, r.term.surface))
-    return results
+    # the denominator is fixed, so the counts rank as the scores do
+    ranked.sort(key=lambda c: (-c[0], c[1].surface))
+    return [FuzzyResult(node, Fraction(count, len(seeds))) for count, node in ranked]
 
 
 def syn_eval(
@@ -271,7 +311,11 @@ def syn_eval(
     """Score each input term against the remaining terms as seeds; every
     input term is returned (scores may be zero)."""
     support = _seed_support(terms, level, graph, language, "syn_eval", 2, "term")
+    node_ids = graph._node_ids
     nodes = [TermNode(t, language) for t in terms]
-    results = [FuzzyResult(n, Fraction(support[n], len(terms) - 1)) for n in nodes]
+    # an absent term has no id; the Counter reads None as zero support
+    results = [
+        FuzzyResult(n, Fraction(support[node_ids.get(n)], len(terms) - 1)) for n in nodes
+    ]
     results.sort(key=lambda r: (-r.score, r.term.surface))
     return results

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 import unicodedata
 
 import pytest
@@ -504,3 +505,15 @@ class TestPooledPath:
         assert watch.clears >= 1
         assert watch.largest == _PREFIX_MEMO_LIMIT
         assert len(watch) <= _PREFIX_MEMO_LIMIT
+
+
+class TestPackageSurface:
+    def test_the_package_attribute_is_the_module(self):
+        import aranlp
+        import aranlp.relatedness as r
+
+        assert isinstance(r, types.ModuleType)
+        assert aranlp.relatedness is r
+        assert r.HashedTrigramProvider is HashedTrigramProvider
+        assert r.relatedness is relatedness
+        assert "relatedness" not in aranlp.__all__

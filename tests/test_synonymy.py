@@ -427,6 +427,14 @@ class TestIntegerIndex:
                 assert tuple(graph._nodes_by_id[j] for j in graph._adjacency[i]) == (
                     graph.outgoing(node)
                 )
+            # the predecessor index: every id with an edge into i, once
+            assert len(graph._predecessors) == graph.node_count
+            for i, sources in enumerate(graph._predecessors):
+                into = graph._nodes_by_id[i]
+                assert len(sources) == len(set(sources))
+                assert {graph._nodes_by_id[j] for j in sources} == {
+                    src for src, dst in graph.edge_labels if dst == into
+                }
             pairs = Counter((src, dst) for src, dst, _, _ in rows)
             seen["repeated row"] += any(n > 1 for n in pairs.values())
             seen["symmetric"] += any(symmetric for *_, symmetric in rows)
@@ -464,7 +472,9 @@ class TestIntegerIndex:
         forward, backward = graph_from_pairs(rows), graph_from_pairs(rows[::-1])
         assert forward._node_ids != backward._node_ids
         assert forward == backward
-        assert "_node_ids" not in repr(forward) and "_adjacency" not in repr(forward)
+        assert forward._predecessors != backward._predecessors
+        for name in ("_nodes_by_id", "_node_ids", "_adjacency", "_predecessors"):
+            assert name not in repr(forward)
 
     def test_cycle_members_match_the_recursive_reference(self):
         rng = random.Random(73)
@@ -489,6 +499,18 @@ class TestIntegerIndex:
         assert all(seen[key] for key in (
             "result", "2-cycle", "cycle at the bound", "shared vertex", "longer than the bound",
         )), seen
+
+    def test_closing_steps_follow_edges_into_the_seed(self):
+        # the triangle s -> a -> b -> s, and a spur s -> c with no way back
+        s, a, b, c = (TermNode(x, "ar") for x in "sabc")
+        graph = graph_from_pairs(
+            [(s, a, "lex", False), (a, b, "lex", False), (b, s, "lex", False),
+             (s, c, "lex", False)]
+        )
+        assert _cycle_members(graph, s, 2) == set()
+        assert _cycle_members(graph, s, 3) == {a, b}
+        for max_length in range(0, 9):
+            assert c not in _cycle_members(graph, s, max_length)
 
     def test_deep_cycle_needs_no_recursion(self):
         # one directed cycle a0 -> a1 -> ... -> a1499 -> a0
