@@ -12,10 +12,17 @@ platforms (fixed 64-bit FNV-1a hashing, fixed accumulation order).
 it adds each trigram's signed unit into one integer count per dimension
 and divides the counts by the token count once.  A column of +-1.0 values
 sums to the same exact integer in any order, so this equals
-``mean_pool(provider.embed(s))`` bit for bit.  Each provider hashes through
-a memo of the FNV-1a state after a trigram's first two characters, so only
-the third character's bytes are hashed per trigram; the memo holds at most
-``_PREFIX_MEMO_LIMIT`` (65,536) entries and is cleared when full.
+``mean_pool(provider.embed(s))`` bit for bit.
+
+Each trigram's hash costs one add and one mask, by an exact identity of
+FNV-1a.  For a byte b < 256, ``h ^ b`` changes only the low byte of h, and
+the low byte of ``h * P`` depends only on the low byte of h.  So after the
+k UTF-8 bytes of a character c, the state is
+``h * P**k + D(h & 0xFF, c) mod 2**64`` for a 256-entry table D per
+character.  Each provider memoizes, per two-character head, the low byte
+of its state and ``h * P**k`` for k = 1..4 (at most ``_PREFIX_MEMO_LIMIT``
+heads), and per character its byte length and table (at most
+``_CHAR_MEMO_LIMIT`` characters).  Each memo is cleared when full.
 """
 
 from __future__ import annotations
@@ -24,9 +31,12 @@ import json
 import math
 import sys
 import unicodedata
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, truediv
 from pathlib import Path
 from typing import Protocol
 
@@ -58,17 +68,43 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Entries in one provider's trigram-prefix memo before it is cleared; an
-# Arabic two-character prefix and its state take about 140 bytes, so a
-# full memo holds about 9 MiB.
-_PREFIX_MEMO_LIMIT = 65_536
+# Entries in one provider's head memo before it is cleared.  An entry is
+# a two-character key and a tuple of the state's low byte and its four
+# 64-bit products, about 250 bytes with the dict slot, so a full memo of
+# Arabic heads holds about 3.9 MiB (measured with tracemalloc).
+_PREFIX_MEMO_LIMIT = 16_384
+# Entries in one provider's character memo before it is cleared.  An entry
+# is a one-character key, its UTF-8 length and a 256-entry array('Q')
+# table, about 2.2 KiB, so a full memo holds about 2.1 MiB.
+_CHAR_MEMO_LIMIT = 1_024
 
 
-def _fnv1a(data: bytes) -> int:
-    value = _FNV_OFFSET
+def _fnv1a(data: bytes, value: int = _FNV_OFFSET) -> int:
+    """FNV-1a of data, continued from the state value."""
     for byte in data:
         value = ((value ^ byte) * _FNV_PRIME) & _MASK64
     return value
+
+
+def _head_entry(head: str) -> tuple[int, ...]:
+    """(low byte of the head's state h, h * P, h * P**2, h * P**3,
+    h * P**4), the products mod 2**64."""
+    value = _fnv1a(head.encode("utf-8"))
+    entry = [value & 0xFF]
+    for _ in range(4):
+        value = (value * _FNV_PRIME) & _MASK64
+        entry.append(value)
+    return tuple(entry)
+
+
+def _char_entry(char: str) -> tuple[int, array]:
+    """(k, D): the character's UTF-8 length and, per low byte, the term
+    that FNV-1a over its k bytes adds to h * P**k mod 2**64."""
+    data = char.encode("utf-8")
+    power = pow(_FNV_PRIME, len(data), 1 << 64)
+    return len(data), array(
+        "Q", [(_fnv1a(data, low) - low * power) & _MASK64 for low in range(256)]
+    )
 
 
 class HashedTrigramProvider:
@@ -80,33 +116,47 @@ class HashedTrigramProvider:
 
     ``pool(sentence)`` is the mean of ``embed(sentence)`` built from
     integer counts without per-token vectors.
-    Hashing reads the FNV-1a state after each trigram's first two
-    characters from a per-provider memo of at most ``_PREFIX_MEMO_LIMIT``
-    entries, cleared when full.
+    A trigram's hash is ``(head[k] + table[head[0]]) & _MASK64``: ``head``
+    is the memoized entry of its first two characters (the state's low
+    byte, then the state times ``P**k`` for k = 1..4) and ``(k, table)``
+    that of its third character (see the module docstring).  The head
+    memo holds at most ``_PREFIX_MEMO_LIMIT`` entries and the character
+    memo at most ``_CHAR_MEMO_LIMIT``; each is built lazily and cleared
+    when full.
     """
 
     def __init__(self, dimension: int = 256):
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         self.dimension = dimension
-        self._prefix_states: dict[str, int] = {}
+        self._prefix_states: dict[str, tuple[int, ...]] = {}
+        self._char_tables: dict[str, tuple[int, array]] = {}
 
     def _counts(self, tokens: Sequence[str]) -> list[int]:
-        """Signed trigram counts summed over the tokens, one per dimension."""
+        """Signed trigram counts summed over the non-empty tokens, one per
+        dimension."""
         dimension = self.dimension
-        states = self._prefix_states
+        heads = self._prefix_states
+        chars = self._char_tables
         counts = [0] * dimension
         for token in tokens:
-            wrapped = f"^{token}$"
-            for i in range(len(wrapped) - 2):
-                head = wrapped[i:i + 2]
-                value = states.get(head)
-                if value is None:
-                    if len(states) >= _PREFIX_MEMO_LIMIT:
-                        states.clear()
-                    value = states[head] = _fnv1a(head.encode("utf-8"))
-                for byte in wrapped[i + 2].encode("utf-8"):
-                    value = ((value ^ byte) * _FNV_PRIME) & _MASK64
+            # the trigrams of "^token$", as a rolling pair of head characters
+            first, second = "^", token[0]
+            for third in f"{token[1:]}$":
+                key = first + second
+                head = heads.get(key)
+                if head is None:
+                    if len(heads) >= _PREFIX_MEMO_LIMIT:
+                        heads.clear()
+                    head = heads[key] = _head_entry(key)
+                char = chars.get(third)
+                if char is None:
+                    if len(chars) >= _CHAR_MEMO_LIMIT:
+                        chars.clear()
+                    char = chars[third] = _char_entry(third)
+                first, second = second, third
+                k, table = char
+                value = (head[k] + table[head[0]]) & _MASK64
                 if value >> 63:
                     counts[value % dimension] += 1
                 else:
@@ -128,8 +178,7 @@ class HashedTrigramProvider:
 
     def pool(self, sentence: str) -> Vector:
         tokens = self._tokens(sentence)
-        count = len(tokens)
-        return [c / count for c in self._counts(tokens)]
+        return list(map(truediv, self._counts(tokens), repeat(len(tokens))))
 
 
 def mean_pool(vectors: Sequence[Vector]) -> Vector:
@@ -180,20 +229,18 @@ def cosine(a: Vector, b: Vector) -> float:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector dimensions differ: {len(a)} vs {len(b)}")
     try:
-        square_a = sum(x * x for x in a)
-        square_b = sum(x * x for x in b)
+        square_a = sum(map(mul, a, a))
+        square_b = sum(map(mul, b, b))
     except OverflowError:
         # a float added to an int square beyond the float range
         square_a = square_b = math.inf
     if _NORMAL_MIN <= square_a <= _NORMAL_MAX and _NORMAL_MIN <= square_b <= _NORMAL_MAX:
-        value = sum(x * y for x, y in zip(a, b)) / (math.sqrt(square_a) * math.sqrt(square_b))
+        value = sum(map(mul, a, b)) / (math.sqrt(square_a) * math.sqrt(square_b))
         if math.isfinite(value):
             return max(-1.0, min(1.0, value))
     a, b = _unit_scaled(a), _unit_scaled(b)
     # both squares now lie in [1, len(a)]: one square root suffices
-    value = sum(x * y for x, y in zip(a, b)) / math.sqrt(
-        sum(x * x for x in a) * sum(y * y for y in b)
-    )
+    value = sum(map(mul, a, b)) / math.sqrt(sum(map(mul, a, a)) * sum(map(mul, b, b)))
     return max(-1.0, min(1.0, value))
 
 

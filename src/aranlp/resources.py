@@ -12,6 +12,7 @@ Installation happens from local archives only.
 from __future__ import annotations
 
 import os
+import secrets
 import tarfile
 import threading
 import zipfile
@@ -151,12 +152,30 @@ def _archive_files(archive: Path) -> list[tuple[PurePosixPath, bytes]]:
     return files
 
 
+def _replace_file(target: Path, data: bytes) -> None:
+    """Write data to a new temporary file beside target, then rename it
+    over target, so a failed write leaves the old file whole and no
+    temporary file behind."""
+    temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(temp, flags, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def install(archive: str | Path, root: str | Path | None = None) -> InstallSummary:
     """Unpack a local resource archive into the registry root.
 
     Re-installation is an idempotent overwrite; the summary reports which
     files were added, replaced, or byte-identical.  Entries that would
-    land outside the root are rejected.
+    land outside the root are rejected.  Each file is written beside its
+    target and renamed into place, so a failed write leaves the old file
+    whole.
     """
     archive = Path(archive)
     if not archive.is_file():
@@ -173,5 +192,5 @@ def install(archive: str | Path, root: str | Path | None = None) -> InstallSumma
         else:
             summary.added.append(str(relative))
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        _replace_file(target, data)
     return summary

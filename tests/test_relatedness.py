@@ -18,9 +18,13 @@ from aranlp.errors import (
     ZeroVector,
 )
 from aranlp.relatedness import (
+    _CHAR_MEMO_LIMIT,
+    _MASK64,
     _PREFIX_MEMO_LIMIT,
     HashedTrigramProvider,
     SentencePair,
+    _char_entry,
+    _head_entry,
     cosine,
     evaluate_pairs,
     load_pairs,
@@ -32,6 +36,7 @@ from aranlp.relatedness import (
 
 from _oracles import (
     ReferenceTrigramProvider,
+    _fnv1a,
     oracle_spearman,
     random_embedding_sentence,
     reference_cosine,
@@ -505,6 +510,48 @@ class TestPooledPath:
         assert watch.clears >= 1
         assert watch.largest == _PREFIX_MEMO_LIMIT
         assert len(watch) <= _PREFIX_MEMO_LIMIT
+
+    def test_char_memo_stays_within_its_bound(self):
+        provider = HashedTrigramProvider(64)
+        oracle = ReferenceTrigramProvider(64)
+        watch = provider._char_tables = _SizeWatch()
+        # tokens "a" + one of more distinct CJK ideographs than the limit:
+        # each ideograph is the third character of its token's first trigram
+        tokens = ["a" + chr(0x4E00 + i) for i in range(_CHAR_MEMO_LIMIT + 200)]
+        for start in range(0, len(tokens), 100):
+            sentence = " ".join(tokens[start:start + 100])
+            assert provider.pool(sentence) == reference_mean_pool(oracle.embed(sentence))
+        assert watch.clears >= 1
+        assert watch.largest == _CHAR_MEMO_LIMIT
+        assert len(watch) <= _CHAR_MEMO_LIMIT
+
+
+class TestTrigramKernel:
+    """The per-character table identity: after the k UTF-8 bytes of a
+    character c, FNV-1a from a state h reads h * P**k + D(h & 0xFF, c)."""
+
+    # 1-, 2-, 3- and 4-byte UTF-8 characters
+    RANGES = ((0x21, 0x7F), (0x80, 0x800), (0x800, 0xD800), (0x10000, 0x110000))
+
+    def test_table_terms_equal_full_fnv1a(self):
+        rng = random.Random(23)
+        for width, (low, high) in enumerate(self.RANGES, start=1):
+            for _ in range(3):
+                char = chr(rng.randrange(low, high))
+                k, table = _char_entry(char)
+                assert k == width == len(char.encode("utf-8"))
+                assert len(table) == 256
+                # random heads until every low byte of the head state is seen
+                unseen = set(range(256))
+                while unseen:
+                    head = "".join(chr(rng.randrange(*rng.choice(self.RANGES))) for _ in range(2))
+                    entry = _head_entry(head)
+                    state = _fnv1a(head.encode("utf-8"))
+                    assert entry[0] == state & 0xFF
+                    full = _fnv1a((head + char).encode("utf-8"))
+                    assert table[entry[0]] == (full - state * 0x100000001B3 ** k) & _MASK64
+                    assert (entry[k] + table[entry[0]]) & _MASK64 == full
+                    unseen.discard(entry[0])
 
 
 class TestPackageSurface:

@@ -1,6 +1,9 @@
 import argparse
+import errno
 import gc
+import os
 import tarfile
+import types
 import zipfile
 
 import pytest
@@ -101,6 +104,40 @@ class TestInstall:
         summary = install(make_zip(tmp_path / "v2.zip", {"a/x.tsv": "new"}), root)
         assert summary.replaced == ["a/x.tsv"]
         assert (root / "a/x.tsv").read_text() == "new"
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch, existing):
+        root = tmp_path / "resources"
+        if existing:
+            install(make_zip(tmp_path / "v1.zip", {"a/x.tsv": "old"}), root)
+        else:
+            (root / "a").mkdir(parents=True)
+        before = directory_snapshot(root)
+
+        class DiskFull:
+            """A file handle that writes half the data, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        failing_os = types.SimpleNamespace(**vars(os))
+        failing_os.fdopen = lambda fd, mode: DiskFull(os.fdopen(fd, mode))
+        monkeypatch.setattr(resources, "os", failing_os)
+        with pytest.raises(OSError, match="No space left"):
+            install(make_zip(tmp_path / "v2.zip", {"a/x.tsv": "new and longer"}), root)
+        assert directory_snapshot(root) == before
+        assert sorted(p.name for p in (root / "a").iterdir()) == (["x.tsv"] if existing else [])
 
     def test_tarball_supported(self, tmp_path):
         source = tmp_path / "content"
