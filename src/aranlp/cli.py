@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
 
-from . import _tsv, evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
+from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
 from .relatedness import (
     CorrelationReport, HashedTrigramProvider, evaluate_pairs, load_pairs, relatedness,
@@ -253,8 +252,7 @@ def _read_gold_pred(read, args) -> tuple:
 def _cmd_ner_eval(args) -> list[str]:
     gold, pred = _read_gold_pred(ner.read_span_file, args)
     report, overall = ner.span_report(gold, pred, args.mode)
-    scores = (f"{name} {evaluation.format_percent(v)}" for name, v in overall._asdict().items())
-    print("  ".join(scores), file=sys.stderr)
+    print(overall.render_text(), file=sys.stderr)
     return _report_output(report, args)
 
 
@@ -339,23 +337,7 @@ def _cmd_resources_list(args) -> list[str]:
 
 
 def _cmd_eval(args) -> list[str]:
-    rows = []
-    for lineno, fields in _tsv.rows(_read_lines(args), 2, "`score<TAB>weight`"):
-        score_text, weight_text = fields[0].strip(), fields[1].strip()
-        percent = score_text.endswith("%")
-        try:
-            score = float(score_text[:-1]) / 100.0 if percent else float(score_text)
-            weight = float(weight_text)
-        except ValueError:
-            raise MalformedRow(lineno, "score and weight must be numbers") from None
-        if not percent and not 0.0 <= score <= 1.0:
-            raise MalformedRow(lineno, "plain scores must lie in [0, 1]; use a % suffix otherwise")
-        # a non-finite percent is left to micro_average, which names its pair
-        if percent and math.isfinite(score) and not 0.0 <= score <= 1.0:
-            raise MalformedRow(lineno, "percent scores must lie in [0%, 100%]")
-        rows.append((score, weight))
-    if not rows:
-        raise AranlpError("no (score, weight) rows given")
+    rows = evaluation.read_weighted_scores(_read_lines(args))
     return [evaluation.format_percent(evaluation.micro_average(rows))]
 
 

@@ -1,15 +1,24 @@
-"""Shared metric utilities: weighted micro averages and the evaluation
-report that ner.span_report and wsd.accuracy_report build."""
+"""Shared metric utilities: weighted micro averages, the reader of the
+score files they average, and the evaluation report that
+ner.span_report and wsd.accuracy_report build.
+
+A score file (:func:`read_weighted_scores`, ``aranlp eval``'s input)
+follows the resource file rules of ``_tsv``: one ``score<TAB>weight``
+row per data line, comments and blank lines skipped.  A score is a
+fraction in [0, 1] or, with a ``%`` suffix, a percent in [0%, 100%].
+"""
 
 from __future__ import annotations
 
 import json
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import EmptyInput, InvalidWeightedScore
+from . import _tsv
+from .errors import EmptyInput, InvalidWeightedScore, MalformedRow
 
 
 def _finite(value: float) -> bool:
@@ -60,6 +69,31 @@ def micro_average(scores: Sequence[tuple[float, float]]) -> float:
             f"{weighted_sum}; both sums must be finite"
         )
     return weighted_sum / total_weight
+
+
+def read_weighted_scores(source: str | Path | Iterable[str]) -> list[tuple[float, float]]:
+    """The (score, weight) pairs of a score file (a path or its lines),
+    for micro_average.  A row that is not two numbers, or whose score
+    lies outside its range, raises MalformedRow naming its physical
+    line; a file with no rows raises EmptyInput.  A non-finite percent
+    passes, for micro_average to name by its pair number."""
+    pairs = []
+    for lineno, (score_text, weight_text) in _tsv.rows(source, 2, "`score<TAB>weight`"):
+        score_text = score_text.strip()
+        percent = score_text.endswith("%")
+        try:
+            score = float(score_text[:-1]) / 100.0 if percent else float(score_text)
+            weight = float(weight_text)
+        except ValueError:
+            raise MalformedRow(lineno, "score and weight must be numbers") from None
+        if not percent and not 0.0 <= score <= 1.0:
+            raise MalformedRow(lineno, "plain scores must lie in [0, 1]; use a % suffix otherwise")
+        if percent and _finite(score) and not 0.0 <= score <= 1.0:
+            raise MalformedRow(lineno, "percent scores must lie in [0%, 100%]")
+        pairs.append((score, weight))
+    if not pairs:
+        raise EmptyInput("no (score, weight) rows given")
+    return pairs
 
 
 def format_percent(value: float) -> str:

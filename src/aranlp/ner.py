@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 from . import _tsv
 from ._record import record
 from .errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
-from .evaluation import CategoryResult, EvalReport
+from .evaluation import CategoryResult, EvalReport, format_percent
 
 B, I, O = "B", "I", "O"
 IOB_LABELS = (B, I, O)
@@ -320,6 +320,10 @@ class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
+
+    def render_text(self) -> str:
+        """`ner eval`'s score line: `precision 87.50%  recall 63.64%  f1 73.68%`."""
+        return "  ".join(f"{name} {format_percent(v)}" for name, v in self._asdict().items())
 
 
 def span_counts(

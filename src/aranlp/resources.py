@@ -6,7 +6,8 @@ one root directory: ``./resources`` by default, overridable with the
 once per :class:`ResourceRegistry`; concurrent first users of a registry
 block until the loader finishes.  :func:`load` builds a fresh registry on
 every call, so each call without a path parses the file again.
-Installation happens from local archives only.
+Installation happens from local archives only, and reads at most
+MAX_ARCHIVE_BYTES of files from one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import secrets
 import tarfile
 import threading
 import zipfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -27,6 +29,11 @@ from .wsd import load_inventory
 
 ENV_VAR = "ARANLP_RESOURCES"
 DEFAULT_ROOT = "resources"
+
+# The most bytes install reads from one archive: the sum of the sizes its
+# regular files declare (1 GiB).  A larger archive is rejected before any
+# member is read, since install holds every file in memory until it writes.
+MAX_ARCHIVE_BYTES = 1 << 30
 
 RESOURCE_PATHS: dict[str, str] = {
     "morph_dictionary": "morphology/dictionary.tsv",
@@ -124,25 +131,37 @@ def _check_member_path(name: str) -> PurePosixPath:
     return path
 
 
+def _check_total_size(archive: Path, sizes: Iterable[int]) -> None:
+    total = sum(sizes)
+    if total > MAX_ARCHIVE_BYTES:
+        raise BadArchive(
+            f"{archive} declares {total} bytes of files, more than the "
+            f"{MAX_ARCHIVE_BYTES}-byte limit (resources.MAX_ARCHIVE_BYTES)"
+        )
+
+
 def _archive_files(archive: Path) -> list[tuple[PurePosixPath, bytes]]:
     """All (relative path, bytes) regular-file entries of a zip/tar; reads
-    the whole archive up front so nothing is written from a corrupt one."""
+    the whole archive up front so nothing is written from a corrupt one.
+    The sizes the entries declare are summed and checked against
+    MAX_ARCHIVE_BYTES first; a member's read returns at most its declared
+    size."""
     files: list[tuple[PurePosixPath, bytes]] = []
     if zipfile.is_zipfile(archive):
         try:
             with zipfile.ZipFile(archive) as zf:
-                for info in zf.infolist():
-                    if info.is_dir():
-                        continue
+                infos = [info for info in zf.infolist() if not info.is_dir()]
+                _check_total_size(archive, (info.file_size for info in infos))
+                for info in infos:
                     files.append((_check_member_path(info.filename), zf.read(info)))
         except zipfile.BadZipFile as exc:
             raise BadArchive(f"{archive} is not a readable zip archive") from exc
         return files
     try:
         with tarfile.open(archive) as tf:
-            for member in tf.getmembers():
-                if not member.isfile():
-                    continue
+            members = [member for member in tf.getmembers() if member.isfile()]
+            _check_total_size(archive, (member.size for member in members))
+            for member in members:
                 handle = tf.extractfile(member)
                 if handle is None:
                     continue
@@ -173,9 +192,10 @@ def install(archive: str | Path, root: str | Path | None = None) -> InstallSumma
 
     Re-installation is an idempotent overwrite; the summary reports which
     files were added, replaced, or byte-identical.  Entries that would
-    land outside the root are rejected.  Each file is written beside its
-    target and renamed into place, so a failed write leaves the old file
-    whole.
+    land outside the root are rejected, and so is an archive whose
+    regular files declare more than MAX_ARCHIVE_BYTES in all; both before
+    any file is written.  Each file is written beside its target and
+    renamed into place, so a failed write leaves the old file whole.
     """
     archive = Path(archive)
     if not archive.is_file():

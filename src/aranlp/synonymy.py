@@ -233,16 +233,6 @@ def _cycle_member_ids(graph: SynonymyGraph, start: int, max_length: int) -> set[
     return members
 
 
-def _cycle_members(graph: SynonymyGraph, seed: TermNode, max_length: int) -> set[TermNode]:
-    """_cycle_member_ids for a seed node; a node absent from the graph has
-    no members."""
-    start = graph._node_ids.get(seed)
-    if start is None:
-        return set()
-    nodes = graph._nodes_by_id
-    return {nodes[i] for i in _cycle_member_ids(graph, start, max_length)}
-
-
 def _seed_support(
     terms: Sequence[str],
     level: int,

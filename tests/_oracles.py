@@ -371,8 +371,9 @@ def reference_graph_from_pairs(pairs):
 
 
 def reference_cycle_members(graph, seed, max_length):
-    """_cycle_members as it was before the integer id index, verbatim: a
-    recursive depth-bounded DFS that hashes and compares TermNodes."""
+    """The seed's cycle members as the library found them before the
+    integer id index, verbatim: a recursive depth-bounded DFS that hashes
+    and compares TermNodes."""
     members: set[TermNode] = set()
     path: list[TermNode] = []
     on_path: set[TermNode] = {seed}

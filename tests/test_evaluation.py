@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from aranlp.errors import AranlpError, EmptyInput, InvalidWeightedScore
-from aranlp.evaluation import CategoryResult, EvalReport, format_percent, micro_average
+from aranlp.evaluation import (
+    CategoryResult, EvalReport, format_percent, micro_average, read_weighted_scores,
+)
 
 
 @pytest.fixture
@@ -124,6 +126,29 @@ class TestMicroAverage:
             ]
             expected = sum(s * w for s, w in scores) / sum(w for _, w in scores)
             assert micro_average(scores) == expected
+
+
+class TestReadWeightedScores:
+    def test_percent_and_plain_rows(self):
+        lines = ["# header", "85.31%\t4389", " 0.5 \t 10 ", "", "100%\t1", "0%\t2"]
+        assert read_weighted_scores(lines) == [
+            (85.31 / 100.0, 4389.0), (0.5, 10.0), (1.0, 1.0), (0.0, 2.0),
+        ]
+
+    def test_no_rows_is_empty_input(self):
+        with pytest.raises(EmptyInput) as err:
+            read_weighted_scores(["# no rows", ""])
+        assert str(err.value) == "no (score, weight) rows given"
+
+    def test_a_nan_percent_is_left_to_micro_average(self):
+        # a plain nan is a MalformedRow of its line (test_resources)
+        rows = read_weighted_scores(["85.31%\t4389", "nan%\t1"])
+        assert math.isnan(rows[1][0])
+        with pytest.raises(InvalidWeightedScore) as err:
+            micro_average(rows)
+        assert str(err.value) == (
+            "pair 2: scores must be finite and weights positive and finite, got (nan, 1.0)"
+        )
 
 
 class TestRendering:

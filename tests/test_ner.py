@@ -6,6 +6,7 @@ import pytest
 
 from aranlp.errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
 from aranlp.ner import (
+    PRF,
     EntitySpan,
     EntityTypeSet,
     GazetteerTagger,
@@ -355,6 +356,13 @@ class TestSpanF1:
             g, p = spans(), spans()
             assert span_f1(g, p).f1 == pytest.approx(span_f1(p, g).f1)
             assert span_f1(g, p).precision == pytest.approx(span_f1(p, g).recall)
+
+    def test_render_text_is_the_ner_eval_score_line(self, data_dir):
+        cli = data_dir / "cli"
+        gold, pred = read_span_file(cli / "ner_gold.tsv"), read_span_file(cli / "ner-tag-spans.out")
+        _, overall = span_report(gold, pred)
+        assert overall.render_text() + "\n" == (cli / "ner-eval.err").read_text("utf-8")
+        assert PRF(1.0, 0.5, 2 / 3).render_text() == "precision 100.00%  recall 50.00%  f1 66.67%"
 
 
 class TestSpanCounts:

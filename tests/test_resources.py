@@ -1,6 +1,7 @@
 import argparse
 import errno
 import gc
+import io
 import os
 import tarfile
 import types
@@ -8,7 +9,7 @@ import zipfile
 
 import pytest
 
-from aranlp import _tsv, cli, morphology, ner, resources, synonymy, wsd
+from aranlp import _tsv, cli, evaluation, morphology, ner, resources, synonymy, wsd
 from aranlp.errors import BadArchive, MalformedRow, PathEscape, ResourceMissing
 from aranlp.ner import EntitySpan, LabelMatrix
 from aranlp.relatedness import load_pairs
@@ -171,6 +172,39 @@ class TestInstall:
         with pytest.raises(BadArchive):
             install(tmp_path / "absent.zip", tmp_path / "resources")
 
+    @pytest.mark.parametrize("kind", ["zip", "tar"])
+    def test_archive_past_the_size_limit_writes_nothing(self, tmp_path, monkeypatch, kind):
+        def archive(name, files):
+            if kind == "zip":
+                return make_zip(tmp_path / f"{name}.zip", files)
+            path = tmp_path / f"{name}.tar"
+            with tarfile.open(path, "w") as tf:
+                for member, data in files.items():
+                    info = tarfile.TarInfo(member)
+                    info.size = len(data)
+                    tf.addfile(info, io.BytesIO(data))
+            return path
+
+        root = tmp_path / "resources"
+        install(archive("v1", {"a/x.tsv": b"old"}), root)
+        before = directory_snapshot(root)
+        v2 = archive("v2", {"a/x.tsv": b"new", "a/y.tsv": b"added"})  # 8 bytes
+        monkeypatch.setattr(resources, "MAX_ARCHIVE_BYTES", 7)
+        # the limit is checked before any member's bytes are read
+        monkeypatch.setattr(zipfile.ZipFile, "read", None)
+        monkeypatch.setattr(tarfile.TarFile, "extractfile", None)
+        with pytest.raises(BadArchive) as err:
+            install(v2, root)
+        assert str(err.value) == (
+            f"{v2} declares 8 bytes of files, more than the 7-byte limit "
+            "(resources.MAX_ARCHIVE_BYTES)"
+        )
+        assert directory_snapshot(root) == before
+        assert sorted(p.name for p in (root / "a").iterdir()) == ["x.tsv"]
+        monkeypatch.undo()
+        monkeypatch.setattr(resources, "MAX_ARCHIVE_BYTES", 8)
+        assert install(v2, root).render().startswith("installed 2 file(s): 1 added, 1 replaced")
+
     def test_summary_render(self):
         summary = InstallSummary(added=["a"], replaced=["b"], unchanged=[])
         text = summary.render()
@@ -191,8 +225,6 @@ def _packaged(loader):
         return loader()
     return call
 
-
-_cmd_eval = _from_path(lambda path: cli._cmd_eval(argparse.Namespace(file=path)))
 
 # A comment and a blank line come first, so each bad row is at least on
 # physical line 3.
@@ -259,13 +291,22 @@ MALFORMED_ROWS = [
      "كتب ذهب\nPERS B O\n", 4, "expected `TYPE<TAB>label label ...`"),
     ("ner.read_matrix_file-repeated-type", _from_lines(ner.read_matrix_file, False),
      "كتب ذهب\nPERS\tB I\nPERS\tO O\n", 5, "a second row for type 'PERS'"),
-    ("cli._cmd_eval", _cmd_eval, "50%\n", 3, "expected `score<TAB>weight`"),
-    ("cli._cmd_eval-percent-above-100", _cmd_eval,
+    ("read_weighted_scores", _from_path(evaluation.read_weighted_scores),
+     "50%\n", 3, "expected `score<TAB>weight`"),
+    ("read_weighted_scores-lines", _from_lines(evaluation.read_weighted_scores, True),
+     "50%\n", 3, "expected `score<TAB>weight`"),
+    ("read_weighted_scores-percent-above-100", _from_path(evaluation.read_weighted_scores),
      "150%\t1\n", 3, "percent scores must lie in [0%, 100%]"),
-    ("cli._cmd_eval-negative-percent", _cmd_eval,
+    ("read_weighted_scores-negative-percent", _from_path(evaluation.read_weighted_scores),
      "-5%\t1\n", 3, "percent scores must lie in [0%, 100%]"),
-    ("cli._cmd_eval-not-a-number", _cmd_eval,
+    ("read_weighted_scores-not-a-number", _from_path(evaluation.read_weighted_scores),
      "abc\t1\n", 3, "score and weight must be numbers"),
+    ("read_weighted_scores-plain-above-1", _from_path(evaluation.read_weighted_scores),
+     "1.5\t1\n", 3, "plain scores must lie in [0, 1]; use a % suffix otherwise"),
+    # a plain nan fails its range check here; a nan percent is left to
+    # micro_average (test_evaluation)
+    ("read_weighted_scores-plain-nan", _from_path(evaluation.read_weighted_scores),
+     "nan\t1\n", 3, "plain scores must lie in [0, 1]; use a % suffix otherwise"),
 ]
 
 

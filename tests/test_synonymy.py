@@ -17,7 +17,7 @@ from aranlp.errors import (
 from aranlp.synonymy import (
     FuzzyResult,
     TermNode,
-    _cycle_members,
+    _cycle_member_ids,
     build_graph,
     graph_from_pairs,
     syn_eval,
@@ -404,9 +404,18 @@ def _cycles_through(graph, seed, max_length):
     return list(walk([seed]))
 
 
+def _cycle_members(graph, seed, max_length):
+    """_cycle_member_ids mapped to nodes; a seed absent from the graph has
+    no members."""
+    start = graph._node_ids.get(seed)
+    if start is None:
+        return set()
+    return {graph._nodes_by_id[i] for i in _cycle_member_ids(graph, start, max_length)}
+
+
 class TestIntegerIndex:
-    """graph_from_pairs and _cycle_members keep the public fields and the
-    member sets of the TermNode-keyed code they replace."""
+    """graph_from_pairs and _cycle_member_ids keep the public fields and
+    the member sets of the TermNode-keyed code they replace."""
 
     def test_public_fields_match_the_reference_builder(self):
         rng = random.Random(71)
