@@ -29,7 +29,6 @@ from .ner import (
     decode_matrix,
     project_flat,
     span_f1,
-    tag_gazetteer,
 )
 from .relatedness import (
     HashedTrigramProvider,
@@ -117,7 +116,6 @@ __all__ = [
     "split_sentences",
     "syn_eval",
     "syn_extract",
-    "tag_gazetteer",
     "to_buckwalter",
     "wsd_accuracy",
 ]

@@ -3,8 +3,10 @@
 A handler reads its arguments, calls one library function and returns
 the rendered result as a list of output lines (an item may hold several
 lines).  Metrics, file formats and resource defaults belong to the
-library; no handler holds a second copy of one.  An option that several
-subcommands share is declared once, on a parent parser.
+library, and so does every rendered score and record: a report or score
+renders its own text and records, and each other record is encoded by
+``evaluation.json_line``.  No handler formats a number.  An option that
+several subcommands share is declared once, on a parent parser.
 
 :func:`dispatch` is the only writer of results: only after the handler
 has succeeded does it write each item and a line break to stdout, and
@@ -18,17 +20,16 @@ closed pipe) exit 1 with one `aranlp: error:` line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
 
 from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
+from .evaluation import json_line, record_fields
 from .relatedness import (
-    CorrelationReport, HashedTrigramProvider, evaluate_pairs, load_pairs, relatedness,
-    to_unit_interval,
+    CorrelationReport, HashedTrigramProvider, PairScore, evaluate_pairs, load_pairs,
+    relatedness, to_unit_interval,
 )
 
 PROG = "aranlp"
@@ -44,15 +45,9 @@ def _read_lines(args) -> list[str]:
     return _read_text(args).splitlines()
 
 
-def _fields(value) -> dict:
-    """A dataclass instance (a span, a solution, a verdict) as its fields
-    in declaration order, one level deep."""
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-
-
-def _record(obj) -> str:
-    """One JSON line; a dataclass becomes its fields."""
-    return json.dumps(obj, ensure_ascii=False, default=_fields)
+def _report_output(report, args) -> str:
+    """A report or score as --format asks: its render_text or render_records."""
+    return report.render_records() if args.format == "records" else report.render_text()
 
 
 # --- translit / strip / split / match / jaccard / dedup -------------------
@@ -122,7 +117,7 @@ def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
 def _match_line(w1: str, w2: str, fmt: str) -> str:
     verdict = textutils.match_words(w1, w2)
     if fmt == "records":
-        return _record({"w1": w1, "w2": w2, **_fields(verdict)})
+        return json_line({"w1": w1, "w2": w2, **record_fields(verdict)})
     if verdict.first_conflict is None:
         return verdict.relation
     return f"{verdict.relation}\t{verdict.first_conflict}"
@@ -134,22 +129,11 @@ def _cmd_match(args) -> list[str]:
     return [_match_line(w1, w2, args.format) for w1, w2 in pairs]
 
 
-def _jaccard_output(report: textutils.JaccardReport, fmt: str) -> str:
-    if fmt == "records":
-        return _record({"union": report.union_size, "intersection": report.intersection_size,
-                        "similarity": report.similarity})
-    return (
-        f"union\t{report.union_size}\n"
-        f"intersection\t{report.intersection_size}\n"
-        f"similarity\t{report.similarity:.4f}"
-    )
-
-
 def _cmd_jaccard(args) -> list[str]:
     pairs = _pairs(args, args.sets, "jaccard takes exactly two word-list arguments",
                    "\t", "expected two tab-separated word lists")
     return [
-        _jaccard_output(textutils.jaccard(s1.split(), s2.split(), args.mode), args.format)
+        _report_output(textutils.jaccard(s1.split(), s2.split(), args.mode), args)
         for s1, s2 in pairs
     ]
 
@@ -166,7 +150,7 @@ def _morph_fields(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, morphology.MorphSolution):
-        return "\t".join(map(str, _fields(value).values()))
+        return "\t".join(map(str, record_fields(value).values()))
     return value
 
 
@@ -177,7 +161,7 @@ def _cmd_morph(args) -> list[str]:
         if args.all:
             solutions = morphology.all_solutions(token, dictionary)
             if args.format == "records":
-                out.append(_record({"surface": token, "solutions": solutions}))
+                out.append(json_line({"surface": token, "solutions": solutions}))
             elif not solutions:
                 out.append(f"{token}\t-")
             else:
@@ -188,7 +172,7 @@ def _cmd_morph(args) -> list[str]:
             continue
         tagged = morphology.analyze(token, dictionary, args.task)
         if args.format == "records":
-            out.append(_record(
+            out.append(json_line(
                 {"surface": token, "source": tagged.source, "task": args.task,
                  "value": tagged.value}
             ))
@@ -217,7 +201,7 @@ def _matrix_output(matrices: list[ner.LabelMatrix], args) -> list[str]:
     """`ner tag` and `ner decode` output: one JSON record per sentence, the
     label matrices, or the decoded span file."""
     if args.format == "records":
-        return [_record({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices]
+        return [json_line({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices]
     if args.output == "matrix":
         return ner.format_matrix_file(matrices).splitlines()
     return ner.format_span_file([ner.decode_matrix(m) for m in matrices]).splitlines()
@@ -230,10 +214,6 @@ def _cmd_ner_tag(args) -> list[str]:
 
 def _cmd_ner_decode(args) -> list[str]:
     return _matrix_output(ner.read_matrix_file(_read_lines(args)), args)
-
-
-def _report_output(report: evaluation.EvalReport | CorrelationReport, args) -> list[str]:
-    return [report.render_records() if args.format == "records" else report.render_text()]
 
 
 def _read_gold_pred(read, args) -> tuple:
@@ -253,7 +233,7 @@ def _cmd_ner_eval(args) -> list[str]:
     gold, pred = _read_gold_pred(ner.read_span_file, args)
     report, overall = ner.span_report(gold, pred, args.mode)
     print(overall.render_text(), file=sys.stderr)
-    return _report_output(report, args)
+    return [_report_output(report, args)]
 
 
 # --- wsd ---------------------------------------------------------------------
@@ -273,35 +253,30 @@ def _cmd_wsd_annotate(args) -> list[str]:
     verifier = _build_verifier(args, dictionary)
     annotated = wsd.annotate_corpus(_read_lines(args), inventory, tagger, verifier, dictionary)
     if args.format == "records":
-        return [_record({"tokens": s.tokens, "spans": s.spans}) for s in annotated]
+        return [json_line({"tokens": s.tokens, "spans": s.spans}) for s in annotated]
     return wsd.format_annotated_corpus(annotated).splitlines()
 
 
 def _cmd_wsd_eval(args) -> list[str]:
     gold, pred = _read_gold_pred(wsd.read_annotated_corpus, args)
-    return _report_output(wsd.accuracy_report(gold, pred), args)
+    return [_report_output(wsd.accuracy_report(gold, pred), args)]
 
 
 # --- relatedness -------------------------------------------------------------
 
 def _cmd_relatedness_score(args) -> list[str]:
     provider = HashedTrigramProvider()
-    out = []
-    for pair in load_pairs(args.pairs):
-        score = relatedness(pair, provider)
-        if args.rescale:
-            score = to_unit_interval(score)
-        if args.format == "records":
-            out.append(_record({"s1": pair.s1, "s2": pair.s2, "score": round(score, 6)}))
-        else:
-            out.append(f"{score:.4f}")
-    return out
+    rescale = to_unit_interval if args.rescale else (lambda score: score)
+    return [
+        _report_output(PairScore(p.s1, p.s2, rescale(relatedness(p, provider))), args)
+        for p in load_pairs(args.pairs)
+    ]
 
 
 def _cmd_relatedness_eval(args) -> list[str]:
     pairs = load_pairs(args.pairs)
     report = CorrelationReport(len(pairs), evaluate_pairs(pairs, HashedTrigramProvider()))
-    return _report_output(report, args)
+    return [_report_output(report, args)]
 
 
 # --- syn ---------------------------------------------------------------------
@@ -316,8 +291,8 @@ def _cmd_syn(args) -> list[str]:
         print(f"advisory: {warning.message}", file=sys.stderr)
     if args.format == "records":
         return [
-            _record({"surface": r.term.surface, "language": r.term.language,
-                     "score": float(r.score)})
+            json_line({"surface": r.term.surface, "language": r.term.language,
+                       "score": float(r.score)})
             for r in results
         ]
     return [f"{r.term.surface}\t{r.percent}" for r in results]

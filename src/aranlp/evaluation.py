@@ -1,6 +1,10 @@
 """Shared metric utilities: weighted micro averages, the reader of the
-score files they average, and the evaluation report that
-ner.span_report and wsd.accuracy_report build.
+score files they average, the evaluation report that ner.span_report
+and wsd.accuracy_report build, and the output rules of every report and
+score line: :func:`format_score` (four decimals), :func:`format_percent`
+and :func:`json_line`, which encodes one record as one JSON line with
+non-ASCII text as it is and a dataclass (a span, a solution, a verdict)
+as its fields in declaration order, one level deep.
 
 A score file (:func:`read_weighted_scores`, ``aranlp eval``'s input)
 follows the resource file rules of ``_tsv``: one ``score<TAB>weight``
@@ -14,7 +18,7 @@ import json
 import math
 import numbers
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import _tsv
@@ -100,6 +104,20 @@ def format_percent(value: float) -> str:
     return f"{value * 100:.2f}%"
 
 
+def format_score(value: float) -> str:
+    return f"{value:.4f}"
+
+
+def record_fields(value) -> dict:
+    """A dataclass instance as its fields, as json_line encodes it."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def json_line(obj) -> str:
+    """One output record as one JSON line; a dataclass becomes its fields."""
+    return json.dumps(obj, ensure_ascii=False, default=record_fields)
+
+
 @dataclass(frozen=True)
 class CategoryResult:
     """One evaluation row: instance counts plus the category score."""
@@ -148,4 +166,4 @@ class EvalReport:
         ]
         if self.overall is not None:
             records.append({"category": "overall", "score": self.overall})
-        return "\n".join(json.dumps(r, ensure_ascii=False) for r in records)
+        return "\n".join(map(json_line, records))

@@ -283,27 +283,12 @@ class GazetteerTagger:
         return LabelMatrix(tokens, labels)
 
 
-def tag_gazetteer(
-    tokens: Sequence[str],
-    gazetteer: Mapping[str, str],
-    types: EntityTypeSet | None = None,
-) -> LabelMatrix:
-    """Tag one sentence: ``GazetteerTagger(gazetteer, types).classify(tokens)``.
-
-    Each call builds, validates and indexes a whole GazetteerTagger, which
-    costs about 20-35 ms on a 20k-entry gazetteer against about 14 µs for
-    one ``classify`` of a 10-20 token sentence (Python 3.11, shared 2-vCPU
-    x86_64 VM).  To tag more than one sentence, build the tagger once and
-    call its ``classify``.
-    """
-    return GazetteerTagger(gazetteer, types).classify(tokens)
-
-
-def load_gazetteer(source: str | Path) -> dict[str, str]:
-    """Gazetteer TSV: surface n-gram <TAB> type.  The n-gram is stored as
-    its whitespace-split tokens joined by one space, the form the tagger
-    joins sentence tokens into, so "a  b" is keyed "a b".  Equal type
-    names come back as one shared string for the duration of one load."""
+def load_gazetteer(source: str | Path | Iterable[str]) -> dict[str, str]:
+    """Gazetteer TSV (a path or its lines): surface n-gram <TAB> type.  The
+    n-gram is stored as its whitespace-split tokens joined by one space,
+    the form the tagger joins sentence tokens into, so "a  b" is keyed
+    "a b".  Equal type names come back as one shared string for the
+    duration of one load."""
     gazetteer: dict[str, str] = {}
     type_names: dict[str, str] = {}
     for lineno, fields in _tsv.rows(source, 2):
@@ -393,10 +378,10 @@ def prf_from_counts(n_gold: int, n_pred: int, correct: int) -> PRF:
     return PRF(precision, recall, f1)
 
 
-def read_span_file(source: str | Path) -> list[list[EntitySpan]]:
-    """Span file: one block per sentence, one `start<TAB>end<TAB>type`
-    line per span; a sentence with no entities is the block file's empty
-    record (the lone line `-`)."""
+def read_span_file(source: str | Path | Iterable[str]) -> list[list[EntitySpan]]:
+    """Span file (a path or its lines): one block per sentence, one
+    `start<TAB>end<TAB>type` line per span; a sentence with no entities is
+    the block file's empty record (the lone line `-`)."""
     return [
         [_tsv.span_row(lineno, line, 3, EntitySpan) for lineno, line in block]
         for block in _tsv.blocks(source)

@@ -27,12 +27,11 @@ heads), and per character its byte length and table (at most
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import unicodedata
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -52,6 +51,7 @@ from .errors import (
     NonFiniteValue,
     ZeroVector,
 )
+from .evaluation import format_score, json_line
 
 Vector = list[float]
 
@@ -89,7 +89,7 @@ def _fnv1a(data: bytes, value: int = _FNV_OFFSET) -> int:
 def _head_entry(head: str) -> tuple[int, ...]:
     """(low byte of the head's state h, h * P, h * P**2, h * P**3,
     h * P**4), the products mod 2**64."""
-    value = _fnv1a(head.encode("utf-8"))
+    value = _fnv1a(head.encode("utf-8", "surrogatepass"))
     entry = [value & 0xFF]
     for _ in range(4):
         value = (value * _FNV_PRIME) & _MASK64
@@ -100,7 +100,7 @@ def _head_entry(head: str) -> tuple[int, ...]:
 def _char_entry(char: str) -> tuple[int, array]:
     """(k, D): the character's UTF-8 length and, per low byte, the term
     that FNV-1a over its k bytes adds to h * P**k mod 2**64."""
-    data = char.encode("utf-8")
+    data = char.encode("utf-8", "surrogatepass")
     power = pow(_FNV_PRIME, len(data), 1 << 64)
     return len(data), array(
         "Q", [(_fnv1a(data, low) - low * power) & _MASK64 for low in range(256)]
@@ -111,8 +111,8 @@ class HashedTrigramProvider:
     """Signed hashed character-trigram count vectors per token.
 
     Each token is wrapped in boundary markers and its character trigrams
-    are hashed with FNV-1a; the low bits pick the dimension index and a
-    high bit picks the sign.
+    are hashed with FNV-1a over UTF-8 (``surrogatepass``, so any str
+    embeds); the low bits pick the dimension index and a high bit the sign.
 
     ``pool(sentence)`` is the mean of ``embed(sentence)`` built from
     integer counts without per-token vectors.
@@ -266,9 +266,9 @@ def to_unit_interval(score: float) -> float:
     return (score + 1.0) / 2.0
 
 
-def load_pairs(source: str | Path) -> list[SentencePair]:
-    """Pair file: s1 <TAB> s2 [<TAB> gold] per line; neither sentence may
-    be empty or white space only."""
+def load_pairs(source: str | Path | Iterable[str]) -> list[SentencePair]:
+    """Pair file (a path or its lines): s1 <TAB> s2 [<TAB> gold] per line;
+    neither sentence may be empty or white space only."""
     pairs = []
     for lineno, fields in _tsv.rows(source, (2, 3)):
         s1, s2 = fields[0], fields[1]
@@ -345,7 +345,22 @@ class CorrelationReport:
     spearman: float
 
     def render_text(self) -> str:
-        return f"{self.spearman:.4f}"
+        return format_score(self.spearman)
 
     def render_records(self) -> str:
-        return json.dumps({"metric": "spearman", "pairs": self.pairs, "score": self.spearman})
+        return json_line({"metric": "spearman", "pairs": self.pairs, "score": self.spearman})
+
+
+@dataclass(frozen=True)
+class PairScore:
+    """One pair's relatedness; a record rounds the score to six decimals."""
+
+    s1: str
+    s2: str
+    score: float
+
+    def render_text(self) -> str:
+        return format_score(self.score)
+
+    def render_records(self) -> str:
+        return json_line({"s1": self.s1, "s2": self.s2, "score": round(self.score, 6)})

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import warnings
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -126,11 +126,11 @@ def graph_from_pairs(pairs) -> SynonymyGraph:
 
 
 @_tsv.collector_paused()
-def build_graph(source: str | Path) -> SynonymyGraph:
-    """Pair TSV: source_surface, source_lang, target_surface, target_lang,
-    lexicon_id, symmetric{0|1}.  Symmetric rows expand to both directions.
-    Equal (surface, language) pairs come back as one shared TermNode for
-    the duration of one load."""
+def build_graph(source: str | Path | Iterable[str]) -> SynonymyGraph:
+    """Pair TSV (a path or its lines): source_surface, source_lang,
+    target_surface, target_lang, lexicon_id, symmetric{0|1}.  Symmetric
+    rows expand to both directions.  Equal (surface, language) pairs come
+    back as one shared TermNode for the duration of one load."""
     nodes: dict[tuple[str, str], TermNode] = {}
 
     def node(surface: str, language: str) -> TermNode:

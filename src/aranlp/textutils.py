@@ -21,6 +21,7 @@ from .errors import (
     InvalidThreshold,
     UnknownSeparatorClass,
 )
+from .evaluation import format_score, json_line
 from .script import ar_strip, decompose
 
 IDENTICAL = "identical"
@@ -146,6 +147,14 @@ class JaccardReport:
     union_size: int
     intersection_size: int
     similarity: float
+
+    def render_text(self) -> str:
+        return (f"union\t{self.union_size}\nintersection\t{self.intersection_size}\n"
+                f"similarity\t{format_score(self.similarity)}")
+
+    def render_records(self) -> str:
+        return json_line({"union": self.union_size, "intersection": self.intersection_size,
+                          "similarity": self.similarity})
 
 
 def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:

@@ -24,7 +24,7 @@ Tokens with no glosses and no entity tag are omitted from the output.
 from __future__ import annotations
 
 import unicodedata
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -83,12 +83,12 @@ class SenseInventory:
 
 
 @_tsv.collector_paused()
-def load_inventory(source: str | Path) -> SenseInventory:
+def load_inventory(source: str | Path | Iterable[str]) -> SenseInventory:
     """Inventory TSV: kind{MW|SW} <TAB> lemma-ngram <TAB> gloss_id <TAB> gloss text.
 
-    Keys are NFC-normalized, and an MW key is stored as its
-    whitespace-split lemmas joined by one space, the form the multi-word
-    scan joins lemmas into, so "a  b" is keyed "a b"."""
+    ``source`` is a path or its lines.  Keys are NFC-normalized, and an MW
+    key is stored as its whitespace-split lemmas joined by one space, the
+    form the multi-word scan joins lemmas into, so "a  b" is keyed "a b"."""
     multiword: dict[str, list[Gloss]] = {}
     singleword: dict[str, list[Gloss]] = {}
     for lineno, (kind, key, gloss_id, text) in _tsv.rows(source, 4):
@@ -386,12 +386,12 @@ def annotate_corpus(
     ]
 
 
-def read_annotated_corpus(source: str | Path) -> list[AnnotatedSentence]:
-    """Annotated corpus file: one block per sentence, the sentence line
-    followed by one `start<TAB>end<TAB>kind<TAB>payload` line per span; a
-    sentence with no tokens is the block file's empty record (the lone
-    line `-`).  So the one sentence that does not survive a round trip is
-    the lone token `-` with no spans: it reads back with no tokens."""
+def read_annotated_corpus(source: str | Path | Iterable[str]) -> list[AnnotatedSentence]:
+    """Annotated corpus file (a path or its lines): one block per sentence,
+    the sentence line followed by one `start<TAB>end<TAB>kind<TAB>payload`
+    line per span; a sentence with no tokens is the block file's empty
+    record (the lone line `-`).  So the one sentence that does not survive
+    a round trip, the lone token `-` with no spans, reads back tokenless."""
     corpus = []
     for block in _tsv.blocks(source):
         # an empty record is a sentence line without tokens

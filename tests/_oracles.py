@@ -589,7 +589,9 @@ def _fnv1a(data: bytes) -> int:
 class ReferenceTrigramProvider:
     """Trigram embedding oracle: HashedTrigramProvider's per-token vectors
     as first written, a dense float list per token and one FNV-1a pass over
-    every byte of every trigram (``_token_vector`` is that code verbatim)."""
+    every byte of every trigram (``_token_vector`` is that code verbatim,
+    except that a lone surrogate encodes by ``surrogatepass`` instead of
+    raising UnicodeEncodeError)."""
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -598,7 +600,7 @@ class ReferenceTrigramProvider:
         vector = [0.0] * self.dimension
         wrapped = f"^{token}$"
         for i in range(len(wrapped) - 2):
-            digest = _fnv1a(wrapped[i:i + 3].encode("utf-8"))
+            digest = _fnv1a(wrapped[i:i + 3].encode("utf-8", "surrogatepass"))
             sign = 1.0 if digest & (1 << 63) else -1.0
             vector[digest % self.dimension] += sign
         return vector

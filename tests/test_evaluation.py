@@ -7,8 +7,10 @@ import pytest
 
 from aranlp.errors import AranlpError, EmptyInput, InvalidWeightedScore
 from aranlp.evaluation import (
-    CategoryResult, EvalReport, format_percent, micro_average, read_weighted_scores,
+    CategoryResult, EvalReport, format_percent, format_score, json_line, micro_average,
+    read_weighted_scores,
 )
+from aranlp.ner import EntitySpan
 
 
 @pytest.fixture
@@ -155,6 +157,18 @@ class TestRendering:
     def test_percent_format(self):
         assert format_percent(0.8263) == "82.63%"
         assert format_percent(1.0) == "100.00%"
+
+    def test_score_format_is_four_decimals(self):
+        assert format_score(0.85324691) == "0.8532"
+        assert format_score(1.0) == "1.0000"
+        assert format_score(-0.288675) == "-0.2887"
+
+    def test_json_line_keeps_text_and_opens_a_dataclass_one_level_deep(self):
+        line = json_line({"tokens": ["مصر"], "spans": [EntitySpan(0, 1, "GPE")], "x": 0.5})
+        assert line == (
+            '{"tokens": ["مصر"], "spans": [{"start": 0, "end": 1, "type": "GPE"}], "x": 0.5}'
+        )
+        assert "\n" not in json_line({"text": "a\nb"})
 
     def test_report_text_and_records(self):
         report = EvalReport(

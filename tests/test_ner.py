@@ -24,7 +24,6 @@ from aranlp.ner import (
     span_counts,
     span_f1,
     span_report,
-    tag_gazetteer,
 )
 
 
@@ -213,20 +212,20 @@ class TestProjectFlat:
 
 class TestGazetteerTagger:
     def test_multi_token_match(self):
-        matrix = tag_gazetteer(["وزارة", "الاقتصاد"], {"وزارة الاقتصاد": "ORG"})
+        matrix = GazetteerTagger({"وزارة الاقتصاد": "ORG"}).classify(["وزارة", "الاقتصاد"])
         assert matrix.labels["ORG"] == ("B", "I")
 
     def test_single_token_match(self):
-        matrix = tag_gazetteer(["مصر"], {"مصر": "GPE"})
+        matrix = GazetteerTagger({"مصر": "GPE"}).classify(["مصر"])
         assert matrix.labels["GPE"] == ("B",)
 
     def test_empty_gazetteer_all_o(self):
-        matrix = tag_gazetteer(["a", "b"], {})
+        matrix = GazetteerTagger({}).classify(["a", "b"])
         assert all(row == ("O", "O") for row in matrix.labels.values())
 
     def test_longest_match_wins(self):
         gazetteer = {"a b": "ORG", "a": "ORG"}
-        matrix = tag_gazetteer(["a", "b"], gazetteer)
+        matrix = GazetteerTagger(gazetteer).classify(["a", "b"])
         assert matrix.labels["ORG"] == ("B", "I")
 
     def test_unknown_type_rejected(self):
@@ -254,7 +253,7 @@ class TestGazetteerTagger:
                     gazetteer[" ".join(name_tokens)] = type_name
                     planted.append(EntitySpan(cursor, cursor + width, type_name))
                 cursor += width + 1
-            matrix = tag_gazetteer(filler, gazetteer, types)
+            matrix = GazetteerTagger(gazetteer, types).classify(filler)
             decoded = sorted(decode_matrix(matrix), key=lambda s: (s.start, s.end, s.type))
             assert decoded == sorted(planted, key=lambda s: (s.start, s.end, s.type))
 
@@ -459,6 +458,13 @@ class TestInterfaces:
         with pytest.raises(ValueError):
             EntityTypeSet(("A", "A"))
 
+    def test_the_one_sentence_tagging_wrapper_is_gone(self):
+        import aranlp
+        import aranlp.ner
+
+        assert "tag_gazetteer" not in aranlp.__all__
+        assert not hasattr(aranlp.ner, "tag_gazetteer")
+
     def test_run_tagger_wraps_failures(self):
         class Broken:
             def classify(self, tokens):
@@ -495,7 +501,7 @@ class TestInterfaces:
         path.write_text("زيد  عمرو\tPERS\n مصر \tGPE\n", encoding="utf-8")
         gazetteer = load_gazetteer(path)
         assert gazetteer == {"زيد عمرو": "PERS", "مصر": "GPE"}
-        matrix = tag_gazetteer(["زيد", "عمرو", "مصر"], gazetteer)
+        matrix = GazetteerTagger(gazetteer).classify(["زيد", "عمرو", "مصر"])
         assert decode_matrix(matrix) == [EntitySpan(0, 2, "PERS"), EntitySpan(2, 3, "GPE")]
 
     def test_span_file_round_trip(self, tmp_path):

@@ -22,6 +22,7 @@ from aranlp.relatedness import (
     _MASK64,
     _PREFIX_MEMO_LIMIT,
     HashedTrigramProvider,
+    PairScore,
     SentencePair,
     _char_entry,
     _head_entry,
@@ -266,6 +267,11 @@ class TestRelatedness:
         with pytest.raises(ValueError):
             SentencePair("a", "b", 1.5)
 
+    def test_pair_score_renders_four_decimals_and_a_six_decimal_record(self):
+        score = PairScore("جبل", "سماء", -0.28867513459481287)
+        assert score.render_text() == "-0.2887"
+        assert score.render_records() == '{"s1": "جبل", "s2": "سماء", "score": -0.288675}'
+
     def test_load_pairs(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("جملة أولى\tجملة ثانية\t0.75\nبلا ذهب\tذهب\n", encoding="utf-8")
@@ -439,6 +445,17 @@ class TestPooledPath:
             assert relatedness(SentencePair(s1, s2), provider) == reference_cosine(a, b)
             compared += 1
         assert compared > 100
+
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_a_lone_surrogate_embeds_as_the_oracle_does(self, dimension):
+        sentence, other = "ا\ud800ب", "كتب \udfffا"
+        provider = HashedTrigramProvider(dimension)
+        oracle = ReferenceTrigramProvider(dimension)
+        expected = oracle.embed(sentence)
+        assert provider.embed(sentence) == expected
+        assert provider.pool(sentence) == reference_mean_pool(expected)
+        a, b = reference_mean_pool(expected), reference_mean_pool(oracle.embed(other))
+        assert relatedness(SentencePair(sentence, other), provider) == reference_cosine(a, b)
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_cancelling_sentence_is_a_zero_vector(self, dimension):

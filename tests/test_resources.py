@@ -243,6 +243,8 @@ MALFORMED_ROWS = [
      "NOUN\tnoun\tX\n", 3, "expected 2 tab-separated fields, got 3"),
     ("load_gazetteer", _from_path(ner.load_gazetteer),
      "مصر\tGPE\tX\n", 3, "expected 2 tab-separated fields, got 3"),
+    ("load_gazetteer-lines", _from_lines(ner.load_gazetteer, False),
+     "مصر\tGPE\tX\n", 3, "expected 2 tab-separated fields, got 3"),
     ("load_gazetteer-empty-field", _from_path(ner.load_gazetteer),
      "مصر\t \n", 3, "both n-gram and type must be non-empty"),
     ("load_gazetteer-six-tokens", _from_path(ner.load_gazetteer),
@@ -253,17 +255,23 @@ MALFORMED_ROWS = [
      "PERS\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("read_span_file", _from_path(ner.read_span_file),
      "0\t1\tPERS\n0\t1\n", 4, "expected 3 tab-separated fields, got 2"),
+    ("read_span_file-lines", _from_lines(ner.read_span_file, False),
+     "0\t1\tPERS\n0\t1\n", 4, "expected 3 tab-separated fields, got 2"),
     ("read_span_file-dash-among-spans", _from_path(ner.read_span_file),
      "0\t1\tPERS\n-\n", 4, "expected 3 tab-separated fields, got 1"),
     ("read_span_file-invalid-span", _from_path(ner.read_span_file),
      "3\t1\tPERS\n", 3, "invalid span (3, 1)"),
     ("load_inventory", _from_path(wsd.load_inventory),
      "SW\tكتب\tg1\n", 3, "expected 4 tab-separated fields, got 3"),
+    ("load_inventory-lines", _from_lines(wsd.load_inventory, False),
+     "SW\tكتب\tg1\n", 3, "expected 4 tab-separated fields, got 3"),
     ("load_inventory-empty-gloss-id", _from_path(wsd.load_inventory),
      "SW\tكتب\t \tنص\n", 3, "lemma n-gram and gloss_id must be non-empty"),
     ("load_inventory-two-token-sw-key", _from_path(wsd.load_inventory),
      "SW\tكتب ذهب\tg1\tنص\n", 3, "SW key must be a single lemma"),
     ("read_annotated_corpus", _from_path(wsd.read_annotated_corpus),
+     "كتب ذهب\n0\t1\tentity\n", 4, "expected 4 tab-separated fields, got 3"),
+    ("read_annotated_corpus-lines", _from_lines(wsd.read_annotated_corpus, False),
      "كتب ذهب\n0\t1\tentity\n", 4, "expected 4 tab-separated fields, got 3"),
     ("read_annotated_corpus-unknown-kind", _from_path(wsd.read_annotated_corpus),
      "كتب ذهب\n0\t1\tverb\tg1\n", 4,
@@ -272,6 +280,8 @@ MALFORMED_ROWS = [
      "كتب ذهب\n0\t1\tentity\tPERS\n0\t5\tsingleword\tg1\n", 5,
      "span (0, 5) runs past the 2-token sentence"),
     ("load_pairs", _from_path(load_pairs),
+     "أ\tب\t0.5\tX\n", 3, "expected 2 or 3 tab-separated fields, got 4"),
+    ("load_pairs-lines", _from_lines(load_pairs, False),
      "أ\tب\t0.5\tX\n", 3, "expected 2 or 3 tab-separated fields, got 4"),
     ("load_pairs-gold-not-a-number", _from_path(load_pairs),
      "أ\tب\thigh\n", 3, "gold score 'high' is not a number"),
@@ -282,6 +292,8 @@ MALFORMED_ROWS = [
     ("load_pairs-empty-sentence", _from_path(load_pairs),
      "\tب\n", 3, "both sentences must have at least one token"),
     ("build_graph", _from_path(synonymy.build_graph),
+     "ذهب\tar\tgo\ten\tL\n", 3, "expected 6 tab-separated fields, got 5"),
+    ("build_graph-lines", _from_lines(synonymy.build_graph, False),
      "ذهب\tar\tgo\ten\tL\n", 3, "expected 6 tab-separated fields, got 5"),
     ("build_graph-empty-surface", _from_path(synonymy.build_graph),
      " \tar\tgo\ten\tL\t1\n", 3, "surfaces must be non-empty"),

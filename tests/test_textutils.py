@@ -213,6 +213,13 @@ class TestJaccard:
     def test_both_empty(self):
         assert jaccard([], [], "exact").similarity == 1.0
 
+    def test_report_renders_the_jaccard_goldens(self, data_dir):
+        reports = [jaccard(["كتب", "ذهب"], ["ذهب"]), jaccard(["فَعَلَ", "كتب"], ["فعل", "ولد"])]
+        for render, golden in (("render_text", "jaccard.out"),
+                               ("render_records", "jaccard-records.out")):
+            expected = (data_dir / "cli" / golden).read_text("utf-8")
+            assert "".join(getattr(r, render)() + "\n" for r in reports) == expected
+
     def test_symmetry(self):
         rng = random.Random(11)
         for _ in range(100):
