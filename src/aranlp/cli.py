@@ -3,10 +3,11 @@
 A handler reads its arguments, calls one library function and returns
 the rendered result as a list of output lines (an item may hold several
 lines).  Metrics, file formats and resource defaults belong to the
-library, and so does every rendered score and record: a report or score
-renders its own text and records, and each other record is encoded by
-``evaluation.json_line``.  No handler formats a number.  An option that
-several subcommands share is declared once, on a parent parser.
+library, and so does every rendered score and record: a report, score,
+tagged token, match verdict or synonym result renders its own text and
+records, and each other record is encoded by ``evaluation.json_line``.
+No handler formats a number.  An option that several subcommands share
+is declared once, on a parent parser.
 
 :func:`dispatch` is the only writer of results: only after the handler
 has succeeded does it write each item and a line break to stdout, and
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
-from .evaluation import json_line, record_fields
+from .evaluation import json_line
 from .relatedness import (
     CorrelationReport, HashedTrigramProvider, PairScore, evaluate_pairs, load_pairs,
     relatedness, to_unit_interval,
@@ -46,7 +47,8 @@ def _read_lines(args) -> list[str]:
 
 
 def _report_output(report, args) -> str:
-    """A report or score as --format asks: its render_text or render_records."""
+    """A report, score or result as --format asks: its render_text or
+    render_records."""
     return report.render_records() if args.format == "records" else report.render_text()
 
 
@@ -114,19 +116,15 @@ def _pairs(args, arguments, arity_error: str, sep: str | None, row_error: str):
         yield parts
 
 
-def _match_line(w1: str, w2: str, fmt: str) -> str:
-    verdict = textutils.match_words(w1, w2)
-    if fmt == "records":
-        return json_line({"w1": w1, "w2": w2, **record_fields(verdict)})
-    if verdict.first_conflict is None:
-        return verdict.relation
-    return f"{verdict.relation}\t{verdict.first_conflict}"
-
-
 def _cmd_match(args) -> list[str]:
     pairs = _pairs(args, args.words, "match takes exactly two words",
                    None, "expected two whitespace-separated words")
-    return [_match_line(w1, w2, args.format) for w1, w2 in pairs]
+    out = []
+    for w1, w2 in pairs:
+        verdict = textutils.match_words(w1, w2)
+        out.append(verdict.render_records(w1, w2) if args.format == "records"
+                   else verdict.render_text())
+    return out
 
 
 def _cmd_jaccard(args) -> list[str]:
@@ -144,16 +142,6 @@ def _cmd_dedup(args) -> list[str]:
 
 # --- morph -----------------------------------------------------------------
 
-def _morph_fields(value) -> str:
-    """A lookup answer as text: a solution's tab-separated fields, a single
-    field as it is, or `-` when out of vocabulary."""
-    if value is None:
-        return "-"
-    if isinstance(value, morphology.MorphSolution):
-        return "\t".join(map(str, record_fields(value).values()))
-    return value
-
-
 def _cmd_morph(args) -> list[str]:
     dictionary = resources.load("morph_dictionary", args.dict)
     out = []
@@ -166,18 +154,11 @@ def _cmd_morph(args) -> list[str]:
                 out.append(f"{token}\t-")
             else:
                 out.extend(
-                    f"{token}\t{rank}\t{_morph_fields(s)}"
+                    f"{token}\t{rank}\t{s.render_text()}"
                     for rank, s in enumerate(solutions, start=1)
                 )
             continue
-        tagged = morphology.analyze(token, dictionary, args.task)
-        if args.format == "records":
-            out.append(json_line(
-                {"surface": token, "source": tagged.source, "task": args.task,
-                 "value": tagged.value}
-            ))
-        else:
-            out.append(f"{token}\t{_morph_fields(tagged.value)}\t{tagged.source}")
+        out.append(_report_output(morphology.analyze(token, dictionary, args.task), args))
     return out
 
 
@@ -289,13 +270,7 @@ def _cmd_syn(args) -> list[str]:
         results = run(args.terms, args.level, graph, args.lang)
     for warning in caught:
         print(f"advisory: {warning.message}", file=sys.stderr)
-    if args.format == "records":
-        return [
-            json_line({"surface": r.term.surface, "language": r.term.language,
-                       "score": float(r.score)})
-            for r in results
-        ]
-    return [f"{r.term.surface}\t{r.percent}" for r in results]
+    return [_report_output(r, args) for r in results]
 
 
 # --- resources / eval ----------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import _tsv
 from ._record import record
 from .errors import DuplicateExactRow, EmptyDictionary, MalformedRow
+from .evaluation import json_line
 from .script import ar_strip
 
 TASKS = ("lemma", "pos", "root", "full")
@@ -39,6 +40,11 @@ class MorphSolution:
     pos: str
     root: str
     frequency: int
+
+    def render_text(self) -> str:
+        """The four fields as one tab-separated line, the frequency in
+        decimal."""
+        return f"{self.lemma}\t{self.pos}\t{self.root}\t{self.frequency}"
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,21 @@ class TaggedToken:
         if self.task == "full":
             return self.solution
         return getattr(self.solution, self.task)
+
+    def render_text(self) -> str:
+        """surface<TAB>answer<TAB>source: the answer is the solution's
+        fields for task=full, the one selected field otherwise, and ``-``
+        when out of vocabulary."""
+        value = self.value
+        if value is None:
+            value = "-"
+        elif self.task == "full":
+            value = value.render_text()
+        return f"{self.surface}\t{value}\t{self.source}"
+
+    def render_records(self) -> str:
+        return json_line({"surface": self.surface, "source": self.source,
+                          "task": self.task, "value": self.value})
 
 
 def load_tagset() -> frozenset[str]:

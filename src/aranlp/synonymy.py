@@ -30,7 +30,7 @@ from .errors import (
     SeedNotInGraphWarning,
     UnknownLanguageCode,
 )
-from .evaluation import format_percent
+from .evaluation import format_percent, json_line
 
 _LANGUAGE_RE = re.compile(r"^[a-z]{2,3}$")
 
@@ -173,6 +173,14 @@ class FuzzyResult:
     @property
     def percent(self) -> str:
         return format_percent(float(self.score))
+
+    def render_text(self) -> str:
+        return f"{self.term.surface}\t{self.percent}"
+
+    def render_records(self) -> str:
+        """One JSON line; the exact score becomes a float."""
+        return json_line({"surface": self.term.surface, "language": self.term.language,
+                          "score": float(self.score)})
 
 
 def _cycle_member_ids(graph: SynonymyGraph, start: int, max_length: int) -> set[int]:

@@ -11,7 +11,7 @@ rule), so ``{shaddah+fatha}`` vs ``{fatha}`` and ``{shaddah}`` vs
 from __future__ import annotations
 
 import math
-from collections import Counter
+import unicodedata
 from dataclasses import dataclass
 from operator import mul
 
@@ -105,6 +105,17 @@ class MatchVerdict:
     relation: str
     first_conflict: int | None = None
 
+    def render_text(self) -> str:
+        """The relation, then a tab and the first conflict if there is one."""
+        if self.first_conflict is None:
+            return self.relation
+        return f"{self.relation}\t{self.first_conflict}"
+
+    def render_records(self, w1: str, w2: str) -> str:
+        """One JSON line: the two words compared, then this verdict's fields."""
+        return json_line({"w1": w1, "w2": w2, "relation": self.relation,
+                          "first_conflict": self.first_conflict})
+
 
 def _vowel_conflict(v1, v2) -> int | None:
     """First position holding two different explicit vowels, else None."""
@@ -164,7 +175,8 @@ def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:
     not return incompatible.  That relation is not transitive, so words
     are grouped into connected components (union-find over the combined
     input, in input order) and the report counts components.  Two empty
-    sets have similarity 1.0.
+    sets have similarity 1.0.  In exact mode two words are equal when
+    their NFC forms are, so an NFC and an NFD copy of a word are one word.
 
     Cost: each distinct word is decomposed once, in input order (so a lone
     invalid word raises too), and words are compared pairwise only within
@@ -176,8 +188,11 @@ def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:
     seen: dict[str, int] = {}
     origin1: set[int] = set()
     origin2: set[int] = set()
+    exact = mode == "exact"
     for source, origin in ((set1, origin1), (set2, origin2)):
         for w in source:
+            if exact:
+                w = unicodedata.normalize("NFC", w)
             idx = seen.get(w)
             if idx is None:
                 idx = len(words)
@@ -215,10 +230,6 @@ def jaccard(set1, set2, mode: str = "diacritic_aware") -> JaccardReport:
     return JaccardReport(union_size, intersection_size, similarity)
 
 
-def _tf_vector(sentence: str) -> Counter:
-    return Counter(ar_strip(sentence, diacritics=True).split())
-
-
 def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     """Drop a sentence when its term-frequency cosine similarity with any
     previously kept sentence reaches the threshold; first occurrence wins.
@@ -228,12 +239,17 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     are rejected.  Two empty vectors have cosine 1.0, an empty and a
     non-empty one 0.0.
 
-    Cost: an inverted index from token to kept sentences accumulates the
-    dot products term at a time, so a sentence does work only on the
-    tokens it shares with kept ones; the others have cosine 0.  Each
-    sentence is stripped once through the module-global ``ar_strip``,
-    and its squared norm stays an exact integer, so the verdicts do not
-    depend on summation order.
+    Cost: the whole input is stripped in one call to the module-global
+    ``ar_strip``, as its sentences joined by line breaks (a line break
+    inside a sentence becomes a space, which splits tokens the same way;
+    the strip deletes no white space, so line i is sentence i).  An
+    inverted index holds, per token, the index of each kept sentence
+    once per occurrence, so concatenating the postings of a sentence's
+    tokens, repeats included, lists kept sentence k exactly its integer
+    dot product times; sentences that share no token are never visited.
+    Squared norms are exact integers too, and each cosine takes one
+    square root of the exact product, so the verdicts do not depend on
+    summation order.
     """
     try:
         threshold = float(threshold)
@@ -241,26 +257,34 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
         raise InvalidThreshold(f"threshold must be a number, got {threshold!r}") from exc
     if math.isnan(threshold) or math.isinf(threshold) or threshold < 0:
         raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
+    sentences = list(sentences)
+    block = "\n".join([sentence.replace("\n", " ") for sentence in sentences])
+    lines = ar_strip(block, diacritics=True).split("\n")
     kept: list[str] = []
     kept_squares: list[int] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, list[int]] = {}
     kept_empty = False
-    for sentence in sentences:
-        vector = _tf_vector(sentence)
+    for sentence, line in zip(sentences, lines):
         if kept and threshold == 0:  # every cosine is at least 0
             continue
-        if not vector:
+        tokens = line.split()
+        if not tokens:
             if kept_empty and threshold <= 1.0:
                 continue
             kept_empty = True
             kept.append(sentence)
             continue
-        counts = vector.values()
-        square = sum(map(mul, counts, counts))
+        counts: dict[str, int] = {}
+        hits: list[int] = []
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+            posting = postings.get(token)
+            if posting is not None:
+                hits += posting
+        square = sum(map(mul, counts.values(), counts.values()))
         dots: dict[int, int] = {}
-        for token, count in vector.items():
-            for k, kept_count in postings.get(token, ()):
-                dots[k] = dots.get(k, 0) + count * kept_count
+        for k in hits:
+            dots[k] = dots.get(k, 0) + 1
         # one square root of the exact integer product, so a sentence and
         # its copy read exactly 1.0; a product of two roots can land below it
         for k, dot in dots.items():
@@ -268,12 +292,12 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
                 break
         else:
             index = len(kept_squares)
-            for token, count in vector.items():
+            for token in tokens:
                 posting = postings.get(token)
                 if posting is None:
-                    postings[token] = [(index, count)]
+                    postings[token] = [index]
                 else:
-                    posting.append((index, count))
+                    posting.append(index)
             kept_squares.append(square)
             kept.append(sentence)
     return kept

@@ -499,12 +499,15 @@ def oracle_tf_cosine(s1: str, s2: str) -> float:
 
 def reference_jaccard(set1, set2, mode="diacritic_aware") -> JaccardReport:
     """Jaccard equivalence oracle: the all-pairs union-find that calls
-    match_words on every pair of distinct words not yet connected."""
+    match_words on every pair of distinct words not yet connected; in
+    exact mode each word stands for its NFC form."""
     words = []
     seen = {}
     origin1, origin2 = set(), set()
     for source, origin in ((set1, origin1), (set2, origin2)):
         for w in source:
+            if mode == "exact":
+                w = unicodedata.normalize("NFC", w)
             idx = seen.get(w)
             if idx is None:
                 idx = len(words)
@@ -556,11 +559,12 @@ def reference_remove_duplicates(sentences, threshold=0.8) -> list:
     """Dedup equivalence oracle: every sentence is compared with every kept
     sentence by reference_cosine_counts, all pairs rather than through an
     inverted index, so its verdicts are bit-identical to the library's.
-    Threshold validation is not repeated here."""
+    Each sentence is stripped on its own by reference_ar_strip.  Threshold
+    validation is not repeated here."""
     kept = []
     kept_vectors = []
     for sentence in sentences:
-        vector = Counter(script.ar_strip(sentence, diacritics=True).split())
+        vector = Counter(reference_ar_strip(sentence, diacritics=True).split())
         square = sum(c * c for c in vector.values())
         duplicate = any(
             reference_cosine_counts(vector, square, other, other_square) >= threshold

@@ -326,6 +326,18 @@ class TestAnalyze:
                 assert tagged.solution == MorphSolution(lemma, pos, root, freq)
 
 
+    @pytest.mark.parametrize("task", ["lemma", "pos", "root", "full"])
+    def test_tagged_token_renders_the_morph_goldens(self, task, morph_dict, data_dir):
+        tokens = (data_dir / "morph_tokens.txt").read_text("utf-8").split()
+        tagged = [analyze(token, morph_dict, task) for token in tokens]
+        for render, suffix in (("render_text", "txt"), ("render_records", "jsonl")):
+            expected = (data_dir / f"morph_{task}_expected.{suffix}").read_text("utf-8")
+            assert "".join(getattr(t, render)() + "\n" for t in tagged) == expected
+
+    def test_solution_renders_its_fields_with_tabs(self):
+        assert MorphSolution("ذَهَبَ", "verb", "ذهب", 900).render_text() == "ذَهَبَ\tverb\tذهب\t900"
+
+
 class TestAnalyzeText:
     def test_two_tokens(self, morph_dict):
         tagged = analyze_text("ذهب الولد", morph_dict)

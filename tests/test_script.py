@@ -172,6 +172,30 @@ class TestArStrip:
             flags = dict(zip(TABLE_FLAGS, values))
             assert ar_strip(text, **flags) == reference_ar_strip(text, **flags), flags
 
+    def test_matches_reference_on_long_multiline_text(self):
+        # every codepoint a kernel may replace, between line breaks of each
+        # kind, a lone surrogate and plain letters, repeated into long text
+        table = sorted(set(script._CATEGORY) | script.DIGITS | script.ALIF_VARIANTS)
+        rng = random.Random(2411)
+        filler = LETTERS + ["\r\n", "\n", "\u2028", "\ud800", " ", "\t"]
+        lines = []
+        for _ in range(200):
+            chars = table + rng.choices(filler, k=len(table))
+            rng.shuffle(chars)
+            lines.append("".join(chars))
+        text = "\r\n".join(lines) + "\n" + "\u2028".join(lines[:3])
+        assert len(text) > 20000
+        for flags in ALL_FLAG_SETTINGS:
+            assert ar_strip(text, **flags) == reference_ar_strip(text, **flags), flags
+
+    def test_kernel_replaces_single_codepoints(self):
+        for values in itertools.product((False, True), repeat=5):
+            pairs = script._strip_kernel(*values)
+            olds = [old for old, _ in pairs]
+            assert len(olds) == len(set(olds))
+            assert all(len(old) == 1 and new in ("", script.ALIF) for old, new in pairs)
+            assert not set(olds) & {new for _, new in pairs}, values
+
     def test_flags_are_keyword_only(self):
         with pytest.raises(TypeError):
             ar_strip("فَ", True)

@@ -228,6 +228,27 @@ class TestSynExtract:
 
 
 class TestSynEval:
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("action, terms", [
+        ("extract", ["طريق", "قطة"]),
+        ("eval", ["طريق", "سبيل", "قطة"]),
+    ])
+    def test_results_render_the_syn_goldens(self, action, terms, level, pair_graph, data_dir):
+        run = syn_extract if action == "extract" else syn_eval
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run(terms, level, pair_graph)
+        for render, suffix in (("render_text", "txt"), ("render_records", "jsonl")):
+            golden = data_dir / f"syn_{action}_level{level}_expected.{suffix}"
+            assert "".join(getattr(r, render)() + "\n" for r in results) == golden.read_text(
+                "utf-8")
+
+    def test_a_third_renders_two_decimals_of_percent_and_a_full_float(self):
+        result = FuzzyResult(TermNode("قطة", "ar"), Fraction(1, 3))
+        assert result.render_text() == "قطة\t33.33%"
+        assert result.render_records() == (
+            '{"surface": "قطة", "language": "ar", "score": 0.3333333333333333}')
+
     def test_fixture_scores(self, pair_graph):
         results = syn_eval(["طريق", "سبيل", "قطة"], 2, pair_graph)
         scores = {r.term.surface: r.score for r in results}

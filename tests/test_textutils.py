@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import unicodedata
 from collections import Counter
@@ -146,6 +147,15 @@ class TestSplitSentences:
 
 
 class TestMatchWords:
+    def test_verdict_renders_the_match_goldens(self, data_dir):
+        pairs = [("فعل", "فعل"), ("فَعلَ", "فِعلَ"), ("فَعلَ", "فعَل"), ("كتب", "كتاب")]
+        verdicts = [match_words(w1, w2) for w1, w2 in pairs]
+        text = (data_dir / "cli" / "match.out").read_text("utf-8")
+        assert "".join(v.render_text() + "\n" for v in verdicts) == text
+        records = (data_dir / "cli" / "match-records.out").read_text("utf-8")
+        assert "".join(v.render_records(*pair) + "\n"
+                       for v, pair in zip(verdicts, pairs)) == records
+
     def test_compatible_pair(self):
         assert match_words("فَعلَ", "فعَل").relation == COMPATIBLE
 
@@ -241,6 +251,17 @@ class TestJaccard:
         with pytest.raises(NonArabicLetter):
             jaccard(["abc"], ["abd"])
         assert jaccard(["abc"], ["abc"], "exact").similarity == 1.0
+
+    def test_exact_mode_compares_nfc_forms(self):
+        nfc = "أَحمد"
+        nfd = unicodedata.normalize("NFD", nfc)
+        assert nfd != nfc
+        for mode in ("exact", "diacritic_aware"):
+            report = jaccard([nfc], [nfd], mode)
+            assert (report.union_size, report.intersection_size) == (1, 1), mode
+        # marks in a non-canonical order are the same word too
+        assert jaccard(["ب\u0651\u064e"], ["ب\u064e\u0651"], "exact").intersection_size == 1
+        assert jaccard([nfc, nfd], ["أحمد"], "exact").union_size == 2
 
     def test_error_names_first_invalid_word_in_input_order(self):
         with pytest.raises(NonArabicLetter, match="'q'"):
@@ -371,19 +392,67 @@ class TestRemoveDuplicates:
         assert remove_duplicates(["", "A", ""], 1.01) == ["", "A", ""]
 
     def test_strips_each_sentence_once_through_the_module_global(self, monkeypatch):
+        # one call per remove_duplicates call, through the module global,
+        # whose lines are the sentences with their line breaks as spaces
         calls = []
         original = textutils.ar_strip
 
         def counting(text, **flags):
-            calls.append(text)
+            calls.append((text, flags))
             return original(text, **flags)
 
         monkeypatch.setattr(textutils, "ar_strip", counting)
-        sentences = ["فَعلَ", "فعل", "", "a b", "a b", "b a c", " "]
+        sentences = ["فَعلَ", "فعل", "", "a b", "a b", "b a c", " ", "a\nb", "\n"]
         for threshold in (0.0, 0.8, 1.0, 1.01):
             calls.clear()
-            remove_duplicates(sentences, threshold)
-            assert calls == sentences, threshold
+            kept = remove_duplicates(iter(sentences), threshold)
+            assert kept == reference_remove_duplicates(sentences, threshold), threshold
+            assert len(calls) == 1, threshold
+            text, flags = calls[0]
+            assert flags == {"diacritics": True}
+            assert text.split("\n") == [s.replace("\n", " ") for s in sentences]
+        calls.clear()
+        assert remove_duplicates([]) == []
+        assert len(calls) == 1
+
+    def test_repeated_tokens_at_the_exact_threshold(self):
+        # "a a b" . "a b b" = 2 + 2 and both squared norms are 5: cosine 4/5
+        pair = ["a a b", "a b b"]
+        assert reference_cosine_counts(Counter("aab"), 5, Counter("abb"), 5) == 0.8
+        assert remove_duplicates(pair, 0.8) == ["a a b"]
+        assert remove_duplicates(pair, math.nextafter(0.8, 1.0)) == pair
+        # three of a kind against one: 3 / sqrt(9 * 1) is exactly 1.0
+        assert remove_duplicates(["a a a", "a"], 1.0) == ["a a a"]
+
+    def test_equals_reference_across_line_breaks_marks_and_generators(self):
+        rng = random.Random(2028)
+        vocabulary = [random_token(rng, 4) for _ in range(12)]
+        marks_only = " ".join(VOWEL_CODEPOINTS[:3])
+        breaks = ("\n", "\r", "\r\n", "\u2028", "\u2029", "\x85", " \n ")
+        for _ in range(40):
+            sentences = []
+            for _ in range(rng.randint(1, 25)):
+                kind = rng.choice(("plain", "plain", "break", "marks", "repeat", "copy"))
+                if kind == "plain" or not sentences:
+                    sentences.append(" ".join(rng.choices(vocabulary, k=rng.randint(1, 6))))
+                elif kind == "break":
+                    tokens = rng.choices(vocabulary, k=rng.randint(1, 6))
+                    sentences.append("".join(t + rng.choice(breaks) for t in tokens))
+                elif kind == "marks":
+                    sentences.append(rng.choice((marks_only, marks_only + " " + vocabulary[0])))
+                elif kind == "repeat":
+                    sentences.append(" ".join([rng.choice(vocabulary)] * rng.randint(2, 4)
+                                              + rng.choices(vocabulary, k=2)))
+                else:
+                    sentences.append(rng.choice(sentences).replace(" ", rng.choice(breaks)))
+            vectors = [Counter(ar_strip(s, diacritics=True).split()) for s in sentences[:2]]
+            squares = [sum(c * c for c in v.values()) for v in vectors]
+            exact = reference_cosine_counts(vectors[0], squares[0], vectors[-1], squares[-1])
+            for threshold in (0.0, 0.5, 0.8, 1.0, 1.01, exact):
+                expected = reference_remove_duplicates(sentences, threshold)
+                assert remove_duplicates(sentences, threshold) == expected, (sentences, threshold)
+                assert remove_duplicates(iter(sentences), threshold) == expected
+                assert remove_duplicates(tuple(sentences), threshold) == expected
 
     def test_equals_all_kept_reference(self):
         rng = random.Random(5150)
