@@ -239,17 +239,17 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     are rejected.  Two empty vectors have cosine 1.0, an empty and a
     non-empty one 0.0.
 
-    Cost: the whole input is stripped in one call to the module-global
+    Cost: a non-empty input is stripped in one call to the module-global
     ``ar_strip``, as its sentences joined by line breaks (a line break
     inside a sentence becomes a space, which splits tokens the same way;
-    the strip deletes no white space, so line i is sentence i).  An
-    inverted index holds, per token, the index of each kept sentence
-    once per occurrence, so concatenating the postings of a sentence's
-    tokens, repeats included, lists kept sentence k exactly its integer
-    dot product times; sentences that share no token are never visited.
-    Squared norms are exact integers too, and each cosine takes one
-    square root of the exact product, so the verdicts do not depend on
-    summation order.
+    the strip deletes no white space, so line i is sentence i, and a
+    line count that differs raises).  An inverted index from token to
+    ``(kept index, count)`` accumulates the dot products term at a time,
+    so a sentence does work only on the tokens it shares with kept ones,
+    once per distinct token however often it repeats; the others have
+    cosine 0.  Squared norms are exact integers, and each cosine takes
+    one square root of the exact product, so the verdicts do not depend
+    on summation order.
     """
     try:
         threshold = float(threshold)
@@ -258,13 +258,15 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
     if math.isnan(threshold) or math.isinf(threshold) or threshold < 0:
         raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
     sentences = list(sentences)
+    if not sentences:
+        return []
     block = "\n".join([sentence.replace("\n", " ") for sentence in sentences])
     lines = ar_strip(block, diacritics=True).split("\n")
     kept: list[str] = []
     kept_squares: list[int] = []
-    postings: dict[str, list[int]] = {}
+    postings: dict[str, list[tuple[int, int]]] = {}
     kept_empty = False
-    for sentence, line in zip(sentences, lines):
+    for sentence, line in zip(sentences, lines, strict=True):
         if kept and threshold == 0:  # every cosine is at least 0
             continue
         tokens = line.split()
@@ -275,16 +277,15 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
             kept.append(sentence)
             continue
         counts: dict[str, int] = {}
-        hits: list[int] = []
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
-            posting = postings.get(token)
-            if posting is not None:
-                hits += posting
         square = sum(map(mul, counts.values(), counts.values()))
         dots: dict[int, int] = {}
-        for k in hits:
-            dots[k] = dots.get(k, 0) + 1
+        for token, count in counts.items():
+            posting = postings.get(token)
+            if posting is not None:
+                for k, kept_count in posting:
+                    dots[k] = dots.get(k, 0) + count * kept_count
         # one square root of the exact integer product, so a sentence and
         # its copy read exactly 1.0; a product of two roots can land below it
         for k, dot in dots.items():
@@ -292,12 +293,12 @@ def remove_duplicates(sentences, threshold: float = 0.8) -> list[str]:
                 break
         else:
             index = len(kept_squares)
-            for token in tokens:
+            for token, count in counts.items():
                 posting = postings.get(token)
                 if posting is None:
-                    postings[token] = [index]
+                    postings[token] = [(index, count)]
                 else:
-                    posting.append(index)
+                    posting.append((index, count))
             kept_squares.append(square)
             kept.append(sentence)
     return kept

@@ -195,6 +195,8 @@ class TestArStrip:
             assert len(olds) == len(set(olds))
             assert all(len(old) == 1 and new in ("", script.ALIF) for old, new in pairs)
             assert not set(olds) & {new for _, new in pairs}, values
+            # remove_duplicates relies on the strip keeping every line break
+            assert not set(olds) & {"\n", "\r", " "}, values
 
     def test_flags_are_keyword_only(self):
         with pytest.raises(TypeError):

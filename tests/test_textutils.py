@@ -392,8 +392,8 @@ class TestRemoveDuplicates:
         assert remove_duplicates(["", "A", ""], 1.01) == ["", "A", ""]
 
     def test_strips_each_sentence_once_through_the_module_global(self, monkeypatch):
-        # one call per remove_duplicates call, through the module global,
-        # whose lines are the sentences with their line breaks as spaces
+        # one call per non-empty input, through the module global, whose
+        # lines are the sentences with their line breaks as spaces
         calls = []
         original = textutils.ar_strip
 
@@ -412,8 +412,16 @@ class TestRemoveDuplicates:
             assert flags == {"diacritics": True}
             assert text.split("\n") == [s.replace("\n", " ") for s in sentences]
         calls.clear()
-        assert remove_duplicates([]) == []
-        assert len(calls) == 1
+        assert remove_duplicates(iter([])) == []
+        assert calls == []
+
+    def test_a_strip_that_changes_the_line_count_raises(self, monkeypatch):
+        # line i of the stripped block is sentence i; a strip that merged
+        # or split lines would pair sentences with the wrong vectors
+        for stripped in (lambda text: text.replace("\n", " ", 1), lambda text: text + "\n"):
+            monkeypatch.setattr(textutils, "ar_strip", lambda text, **flags: stripped(text))
+            with pytest.raises(ValueError):
+                remove_duplicates(["a", "b", "c"])
 
     def test_repeated_tokens_at_the_exact_threshold(self):
         # "a a b" . "a b b" = 2 + 2 and both squared norms are 5: cosine 4/5
