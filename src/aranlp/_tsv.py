@@ -5,7 +5,9 @@ Every resource file, flat or block, follows the same rules:
 - a line whose first character (column 0) is ``#`` is a comment;
 - a blank line (empty or whitespace only) carries no data;
 - fields are separated by single tab characters;
-- a trailing ``\\n`` on a line is ignored;
+- a line ends at ``\\n`` only, after universal-newline decoding, so
+  U+2028, U+0085, form feed and the like are data; a given line's
+  trailing ``\\n`` is ignored;
 - line numbers in errors are physical and 1-based: comment and blank
   lines are counted.
 
@@ -54,9 +56,15 @@ from .errors import MalformedRow
 EMPTY_BLOCK = "-"
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of text, each ended by ``\\n``; a final one adds no empty line."""
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
 def packaged(name: str) -> list[str]:
     """The lines of a data file shipped in the package."""
-    return resources.files("aranlp").joinpath(f"data/{name}").read_text("utf-8").splitlines()
+    return split_lines(resources.files("aranlp").joinpath(f"data/{name}").read_text("utf-8"))
 
 
 @contextlib.contextmanager
@@ -77,7 +85,7 @@ def collector_paused() -> Iterator[None]:
 
 def _lines(source: str | Path | Iterable[str]) -> Iterable[str]:
     if isinstance(source, (str, Path)):
-        return Path(source).read_text("utf-8").splitlines()
+        return split_lines(Path(source).read_text("utf-8"))
     return source
 
 

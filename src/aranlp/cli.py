@@ -1,13 +1,11 @@
 """Command-line interface: one binary, one subcommand per component.
 
 A handler reads its arguments, calls one library function and returns
-the rendered result as a list of output lines (an item may hold several
-lines).  Metrics, file formats and resource defaults belong to the
-library, and so does every rendered score and record: a report, score,
-tagged token, match verdict or synonym result renders its own text and
-records, and each other record is encoded by ``evaluation.json_line``.
-No handler formats a number.  An option that several subcommands share
-is declared once, on a parent parser.
+the result's output lines (an item may hold several lines).  Every
+stdout line is rendered by the library: metrics, file formats, resource
+defaults and each result's text and records belong to it, and no handler
+formats a value.  An option that several subcommands share is declared
+once, on a parent parser.
 
 :func:`dispatch` is the only writer of results: only after the handler
 has succeeded does it write each item and a line break to stdout, and
@@ -25,9 +23,8 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
+from . import _tsv, evaluation, morphology, ner, resources, script, synonymy, textutils, wsd
 from .errors import AranlpError, MalformedRow, SeedNotInGraphWarning
-from .evaluation import json_line
 from .relatedness import (
     CorrelationReport, HashedTrigramProvider, PairScore, evaluate_pairs, load_pairs,
     relatedness, to_unit_interval,
@@ -43,12 +40,11 @@ def _read_text(args) -> str:
 
 
 def _read_lines(args) -> list[str]:
-    return _read_text(args).splitlines()
+    return _tsv.split_lines(_read_text(args))
 
 
 def _report_output(report, args) -> str:
-    """A report, score or result as --format asks: its render_text or
-    render_records."""
+    """A result as --format asks: its render_text or render_records."""
     return report.render_records() if args.format == "records" else report.render_text()
 
 
@@ -144,22 +140,13 @@ def _cmd_dedup(args) -> list[str]:
 
 def _cmd_morph(args) -> list[str]:
     dictionary = resources.load("morph_dictionary", args.dict)
-    out = []
-    for token in _read_text(args).split():
-        if args.all:
-            solutions = morphology.all_solutions(token, dictionary)
-            if args.format == "records":
-                out.append(json_line({"surface": token, "solutions": solutions}))
-            elif not solutions:
-                out.append(f"{token}\t-")
-            else:
-                out.extend(
-                    f"{token}\t{rank}\t{s.render_text()}"
-                    for rank, s in enumerate(solutions, start=1)
-                )
-            continue
-        out.append(_report_output(morphology.analyze(token, dictionary, args.task), args))
-    return out
+    text = _read_text(args)
+    if args.all:
+        results = [morphology.RankedSolutions(token, morphology.all_solutions(token, dictionary))
+                   for token in text.split()]
+    else:
+        results = morphology.analyze_text(text, dictionary, args.task)
+    return [_report_output(r, args) for r in results]
 
 
 # --- ner ---------------------------------------------------------------------
@@ -179,13 +166,12 @@ def _load_gazetteer_tagger(args) -> ner.GazetteerTagger:
 
 
 def _matrix_output(matrices: list[ner.LabelMatrix], args) -> list[str]:
-    """`ner tag` and `ner decode` output: one JSON record per sentence, the
-    label matrices, or the decoded span file."""
+    """`ner tag` and `ner decode` output: records, matrices or spans."""
     if args.format == "records":
-        return [json_line({"tokens": m.tokens, "spans": ner.decode_matrix(m)}) for m in matrices]
+        return [m.render_records() for m in matrices]
     if args.output == "matrix":
-        return ner.format_matrix_file(matrices).splitlines()
-    return ner.format_span_file([ner.decode_matrix(m) for m in matrices]).splitlines()
+        return _tsv.split_lines(ner.format_matrix_file(matrices))
+    return _tsv.split_lines(ner.format_span_file([ner.decode_matrix(m) for m in matrices]))
 
 
 def _cmd_ner_tag(args) -> list[str]:
@@ -234,8 +220,8 @@ def _cmd_wsd_annotate(args) -> list[str]:
     verifier = _build_verifier(args, dictionary)
     annotated = wsd.annotate_corpus(_read_lines(args), inventory, tagger, verifier, dictionary)
     if args.format == "records":
-        return [json_line({"tokens": s.tokens, "spans": s.spans}) for s in annotated]
-    return wsd.format_annotated_corpus(annotated).splitlines()
+        return [s.render_records() for s in annotated]
+    return _tsv.split_lines(wsd.format_annotated_corpus(annotated))
 
 
 def _cmd_wsd_eval(args) -> list[str]:
@@ -280,10 +266,7 @@ def _cmd_resources_install(args) -> list[str]:
 
 
 def _cmd_resources_list(args) -> list[str]:
-    return [
-        f"{name}\t{path}\t{'present' if exists else 'missing'}"
-        for name, path, exists, _ in resources.ResourceRegistry().status()
-    ]
+    return [row.render_text() for row in resources.ResourceRegistry().status()]
 
 
 def _cmd_eval(args) -> list[str]:

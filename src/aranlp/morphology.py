@@ -89,6 +89,20 @@ class TaggedToken:
                           "task": self.task, "value": self.value})
 
 
+@record
+class RankedSolutions:
+    surface: str
+    solutions: tuple[MorphSolution, ...]
+
+    def render_text(self) -> str:
+        """surface<TAB>rank<TAB>fields per solution, or surface<TAB>- for none."""
+        return "\n".join(f"{self.surface}\t{rank}\t{s.render_text()}" for rank, s in
+                         enumerate(self.solutions, start=1)) or f"{self.surface}\t-"
+
+    def render_records(self) -> str:
+        return json_line({"surface": self.surface, "solutions": self.solutions})
+
+
 def load_tagset() -> frozenset[str]:
     """The packaged fine (40-tag) part-of-speech inventory."""
     return frozenset(tag.strip() for _, (tag,) in _tsv.rows(_tsv.packaged("pos_tags_40.txt"), 1))

@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 from . import _tsv
 from ._record import record
 from .errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
-from .evaluation import CategoryResult, EvalReport, format_percent
+from .evaluation import CategoryResult, EvalReport, format_percent, json_line
 
 B, I, O = "B", "I", "O"
 IOB_LABELS = (B, I, O)
@@ -103,6 +103,9 @@ class LabelMatrix:
     @property
     def types(self) -> tuple[str, ...]:
         return tuple(self.labels)
+
+    def render_records(self) -> str:
+        return json_line({"tokens": self.tokens, "spans": decode_matrix(self)})
 
 
 def decode_iob(row: Sequence[str]) -> list[tuple[int, int]]:

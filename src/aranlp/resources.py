@@ -20,6 +20,7 @@ import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
+from typing import NamedTuple
 
 from .errors import BadArchive, PathEscape, ResourceMissing
 from .morphology import load_dictionary
@@ -49,6 +50,16 @@ _LOADERS = {
     "sense_inventory": load_inventory,
     "synonym_pairs": build_graph,
 }
+
+
+class ResourceStatus(NamedTuple):
+    name: str
+    path: Path
+    exists: bool  # the file is there
+    loaded: bool  # the registry has parsed it
+
+    def render_text(self) -> str:
+        return f"{self.name}\t{self.path}\t{'present' if self.exists else 'missing'}"
 
 
 class ResourceRegistry:
@@ -85,12 +96,10 @@ class ResourceRegistry:
             self._cache[name] = loaded
             return loaded
 
-    def status(self) -> list[tuple[str, Path, bool, bool]]:
-        """(name, path, file exists, loaded) for every known resource."""
-        return [
-            (name, self.path(name), self.path(name).is_file(), self.is_loaded(name))
-            for name in sorted(RESOURCE_PATHS)
-        ]
+    def status(self) -> list[ResourceStatus]:
+        """The status of every known resource, by name."""
+        return [ResourceStatus(name, self.path(name), self.path(name).is_file(),
+                               self.is_loaded(name)) for name in sorted(RESOURCE_PATHS)]
 
 
 def load(name: str, path: str | Path | None = None):

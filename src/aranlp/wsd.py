@@ -37,7 +37,7 @@ from .errors import (
     MisalignedCorpus,
     VerifierFailure,
 )
-from .evaluation import CategoryResult, EvalReport, micro_average
+from .evaluation import CategoryResult, EvalReport, json_line, micro_average
 from .morphology import MorphDictionary, analyze
 from .ner import EntitySpan, Tagger, _head_widths, decode_matrix, project_flat, run_tagger
 
@@ -368,6 +368,9 @@ class AnnotatedSentence:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
+
+    def render_records(self) -> str:
+        return json_line({"tokens": self.tokens, "spans": self.spans})
 
 
 def annotate_corpus(

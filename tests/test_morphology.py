@@ -8,6 +8,7 @@ import pytest
 from aranlp.errors import DuplicateExactRow, EmptyDictionary, MalformedRow
 from aranlp.morphology import (
     MorphSolution,
+    RankedSolutions,
     all_solutions,
     analyze,
     analyze_text,
@@ -336,6 +337,14 @@ class TestAnalyze:
 
     def test_solution_renders_its_fields_with_tabs(self):
         assert MorphSolution("ذَهَبَ", "verb", "ذهب", 900).render_text() == "ذَهَبَ\tverb\tذهب\t900"
+
+    def test_ranked_solutions_render_the_morph_all_goldens(self, morph_dict, data_dir):
+        tokens = (data_dir / "morph_tokens.txt").read_text("utf-8").split()
+        ranked = [RankedSolutions(token, all_solutions(token, morph_dict)) for token in tokens]
+        assert any(not r.solutions for r in ranked) and any(len(r.solutions) > 1 for r in ranked)
+        for render, suffix in (("render_text", "txt"), ("render_records", "jsonl")):
+            expected = (data_dir / f"morph_all_expected.{suffix}").read_text("utf-8")
+            assert "".join(getattr(r, render)() + "\n" for r in ranked) == expected
 
 
 class TestAnalyzeText:

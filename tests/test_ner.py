@@ -18,6 +18,7 @@ from aranlp.ner import (
     load_entity_types,
     load_gazetteer,
     prf_from_counts,
+    read_matrix_file,
     project_flat,
     read_span_file,
     run_tagger,
@@ -74,6 +75,12 @@ class TestLabelMatrix:
         with pytest.raises(ValueError) as info:
             LabelMatrix(("a", "b", "c"), {"PERS": ("O", "O", "O"), "ORG": ("B", "b", "X")})
         assert str(info.value) == "row for 'ORG' has invalid labels ['X', 'b']"
+
+    @pytest.mark.parametrize("golden", ["ner-tag-records.out", "ner-decode-records.out"])
+    def test_records_render_the_ner_record_goldens(self, golden, data_dir):
+        matrices = read_matrix_file(data_dir / "cli" / "ner-tag-matrix.out")
+        expected = (data_dir / "cli" / golden).read_text("utf-8")
+        assert "".join(m.render_records() + "\n" for m in matrices) == expected
 
 
 class TestDecodeMatrix:

@@ -77,6 +77,17 @@ class TestRegistry:
         assert {name for name, *_ in rows} == set(RESOURCE_PATHS)
         assert all(not exists for _, _, exists, _ in rows)
 
+    def test_status_rows_render_the_resources_list_golden(self, data_dir, monkeypatch):
+        monkeypatch.chdir(data_dir.parents[1])
+        registry = ResourceRegistry("tests/data/cli/resources")
+        registry.load("gazetteer")
+        rows = registry.status()
+        assert [(row.name, row.exists, row.loaded) for row in rows if row.exists] == [
+            ("gazetteer", True, True)
+        ]
+        expected = (data_dir / "cli" / "resources-list.out").read_text("utf-8")
+        assert "".join(row.render_text() + "\n" for row in rows) == expected
+
 
 class TestInstall:
     def test_zip_install_lists_files(self, tmp_path):
@@ -322,7 +333,35 @@ MALFORMED_ROWS = [
 ]
 
 
+# Every codepoint that str.splitlines breaks at but a resource file does
+# not: inside a line, each is data.
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 class TestLineFiles:
+    @pytest.mark.parametrize("load, text, bad_row", [
+        (ner.load_gazetteer,
+         f"# a comment{NOT_LINE_ENDS}that goes on\nمصر\tGPE\n", "مصر\tGPE\tX\n"),
+        (wsd.load_inventory,
+         f"# inventory\nSW\tكتب\tg1\tنص{NOT_LINE_ENDS}آخر\n", "SW\tكتب\tg1\n"),
+    ], ids=["load_gazetteer", "load_inventory"])
+    def test_a_line_ends_at_a_line_feed_only(self, load, text, bad_row, tmp_path):
+        path = tmp_path / "file.tsv"
+        path.write_text(text, encoding="utf-8")
+        with path.open(encoding="utf-8") as handle:
+            lines = list(handle)
+        assert len(lines) == 2
+        loaded = load(path)
+        assert loaded == load(lines)
+        if load is wsd.load_inventory:
+            assert [g.text for g in loaded.singleword["كتب"]] == [f"نص{NOT_LINE_ENDS}آخر"]
+        # a bad row's line number is physical from a path and from lines
+        path.write_text(text + bad_row, encoding="utf-8")
+        for source in (path, [*lines, bad_row]):
+            with pytest.raises(MalformedRow) as err:
+                load(source)
+            assert err.value.line_number == 3
+
     @pytest.mark.parametrize(
         "load, rows, line_number, message", [case[1:] for case in MALFORMED_ROWS],
         ids=[case[0] for case in MALFORMED_ROWS],

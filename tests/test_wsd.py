@@ -879,6 +879,11 @@ class TestCorpusFiles:
         path.write_text(format_annotated_corpus(corpus.gold), encoding="utf-8")
         assert read_annotated_corpus(path) == corpus.gold
 
+    def test_sentence_records_render_the_annotate_golden(self, data_dir):
+        corpus = read_annotated_corpus(data_dir / "wsd_annotate_expected.txt")
+        expected = (data_dir / "wsd_annotate_expected.jsonl").read_text("utf-8")
+        assert "".join(s.render_records() + "\n" for s in corpus) == expected
+
     def test_malformed(self, tmp_path):
         path = tmp_path / "ann.tsv"
         path.write_text("جملة قصيرة\n0\t1\tsingleword\n", encoding="utf-8")
