@@ -32,11 +32,12 @@ here calls ``gc.collect()`` or ``gc.freeze()``; the objects a loader
 allocated are walked by the first collections after it returns.
 
 Loaders also return equal field values as one shared object for the
-duration of one load: the dictionary's pos tags, frequencies and
+duration of one load: the dictionary's roots, frequencies and
 wordform-equal lemmas, the gazetteer's type names and the graph's
-terms.  Each load builds its own tables, one
-entry per distinct value, and drops them when it returns, so two loads
-share nothing.
+terms.  Each load builds its own tables, one entry per distinct value,
+and drops them when it returns, so two loads share none of these.  The
+dictionary's pos tags are the one exception: every load hands out the
+strings of the packaged tag map, which is parsed once per process.
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ class EvalReport:
     title: str
     score_label: str
     categories: tuple[CategoryResult, ...]
-    overall: float | None = None
+    overall: float
 
     def render_text(self) -> str:
         headers = ("category", "gold", "predicted", "correct", self.score_label)
@@ -143,8 +143,7 @@ class EvalReport:
             (c.name, str(c.gold), str(c.predicted), str(c.correct), format_percent(c.score))
             for c in self.categories
         ]
-        if self.overall is not None:
-            rows.append(("overall (micro average)", "", "", "", format_percent(self.overall)))
+        rows.append(("overall (micro average)", "", "", "", format_percent(self.overall)))
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
         lines = (
             "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
@@ -164,6 +163,5 @@ class EvalReport:
             }
             for c in self.categories
         ]
-        if self.overall is not None:
-            records.append({"category": "overall", "score": self.overall})
+        records.append({"category": "overall", "score": self.overall})
         return "\n".join(map(json_line, records))

@@ -5,14 +5,14 @@ The dictionary is a plain hashmap from wordform to a frequency-sorted
 solution list; the list head is the default solution, returned regardless
 of context.  Lookup is two-step: the exact surface form first, then the
 diacritic-stripped form.  Out-of-vocabulary words are a value, not an
-error; an optional fallback hook can supply solutions for them.
+error.
 """
 
 from __future__ import annotations
 
 import functools
 import unicodedata
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,12 +26,7 @@ TASKS = ("lemma", "pos", "root", "full")
 
 SOURCE_EXACT = "exact"
 SOURCE_STRIPPED = "stripped"
-SOURCE_FALLBACK = "fallback"
 SOURCE_OOV = "oov"
-
-# OOV fallback hook: given the (normalized) surface form, return a solution
-# or None.  The shipped default is no fallback.
-FallbackFn = Callable[[str], "MorphSolution | None"]
 
 
 @record
@@ -50,7 +45,6 @@ class MorphSolution:
 @dataclass(frozen=True)
 class MorphDictionary:
     entries: dict[str, tuple[MorphSolution, ...]]
-    version: str = "unversioned"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,11 +97,6 @@ class RankedSolutions:
         return json_line({"surface": self.surface, "solutions": self.solutions})
 
 
-def load_tagset() -> frozenset[str]:
-    """The packaged fine (40-tag) part-of-speech inventory."""
-    return frozenset(tag.strip() for _, (tag,) in _tsv.rows(_tsv.packaged("pos_tags_40.txt"), 1))
-
-
 @functools.cache
 def _tag_map() -> dict[str, str]:
     """The packaged tag map, parsed on first use; never handed out."""
@@ -115,6 +104,11 @@ def _tag_map() -> dict[str, str]:
         fine: coarse
         for _, (fine, coarse) in _tsv.rows(_tsv.packaged("pos_map_40_to_18.tsv"), 2)
     }
+
+
+def load_tagset() -> frozenset[str]:
+    """The packaged fine (40-tag) part-of-speech inventory: the tag map's keys."""
+    return frozenset(_tag_map())
 
 
 def load_tag_map() -> dict[str, str]:
@@ -136,32 +130,25 @@ def _rank(solution: MorphSolution) -> tuple[int, str, str, str]:
 
 
 @_tsv.collector_paused()
-def load_dictionary(
-    source: str | Path | Iterable[str],
-    tagset: frozenset[str] | None = None,
-    version: str | None = None,
-) -> MorphDictionary:
+def load_dictionary(source: str | Path | Iterable[str]) -> MorphDictionary:
     """Parse a dictionary TSV: wordform, lemma, pos, root, frequency.
 
     ``source`` is a path or an iterable of lines.  Fields are stripped and
     NFC-normalized.  Repeated wordform rows aggregate into one
     frequency-sorted list (ties broken lexicographically on lemma, pos,
-    root).  pos tags are validated against ``tagset`` (default: the
-    packaged 40-tag inventory; pass an explicit set to override, or an
-    empty set to disable validation).
+    root).  Each row needs a non-empty wordform and lemma, a pos tag of
+    the packaged 40-tag inventory (:func:`load_tagset`), and a
+    non-negative integer frequency; an exact repeat of a (wordform,
+    lemma, pos, root) row raises DuplicateExactRow.
 
-    Equal field values come back as one shared object for the duration
-    of one load: one string per distinct pos and per distinct root, one
-    int per distinct frequency text, and a lemma equal to its wordform is
-    the wordform key itself.
+    Equal field values come back as one shared object: every pos is the
+    inventory's own string, and for the duration of one load there is one
+    string per distinct root, one int per distinct frequency text, and a
+    lemma equal to its wordform is the wordform key itself.
     """
-    if tagset is None:
-        tagset = load_tagset()
-    if isinstance(source, (str, Path)) and version is None:
-        version = Path(source).name
     # The sharing tables grow with the distinct values, not with the rows;
-    # the tag table doubles as the tag-set check.
-    tags = {tag: tag for tag in tagset}
+    # the tag table is the tag-set check and hands out the map's own keys.
+    tags = {tag: tag for tag in _tag_map()}
     frequencies: dict[str, int] = {}  # field text -> validated value
     roots: dict[str, str] = {}
     entries: dict[str, tuple[MorphSolution, ...]] = {}
@@ -171,9 +158,7 @@ def load_dictionary(
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
         shared_pos = tags.get(pos)
         if shared_pos is None:
-            if tagset:
-                raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
-            shared_pos = tags[pos] = pos
+            raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
         frequency = frequencies.get(freq_text)
         if frequency is None:
             try:
@@ -210,7 +195,7 @@ def load_dictionary(
                 for s in solutions
             )
             entries[wordform] = tuple(sorted(solutions, key=_rank))
-    return MorphDictionary(entries, version or "unversioned")
+    return MorphDictionary(entries)
 
 
 def _lookup(word: str, dictionary: MorphDictionary) -> tuple[tuple[MorphSolution, ...], str]:
@@ -226,39 +211,24 @@ def _lookup(word: str, dictionary: MorphDictionary) -> tuple[tuple[MorphSolution
     return (), SOURCE_OOV
 
 
-def analyze(
-    word: str,
-    dictionary: MorphDictionary,
-    task: str = "full",
-    fallback: FallbackFn | None = None,
-) -> TaggedToken:
+def analyze(word: str, dictionary: MorphDictionary, task: str = "full") -> TaggedToken:
     """Tag one word with its default (most frequent) solution.
 
     Pure function of (word, dictionary): exact lookup, then the
-    diacritic-stripped form, then the optional fallback hook, else a typed
-    oov result.
+    diacritic-stripped form, else a typed oov result.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     solutions, source = _lookup(word, dictionary)
     if solutions:
         return TaggedToken(word, solutions[0], source, task)
-    if fallback is not None:
-        solution = fallback(unicodedata.normalize("NFC", word))
-        if solution is not None:
-            return TaggedToken(word, solution, SOURCE_FALLBACK, task)
     return TaggedToken(word, None, SOURCE_OOV, task)
 
 
-def analyze_text(
-    text: str,
-    dictionary: MorphDictionary,
-    task: str = "full",
-    fallback: FallbackFn | None = None,
-) -> list[TaggedToken]:
+def analyze_text(text: str, dictionary: MorphDictionary, task: str = "full") -> list[TaggedToken]:
     """Whitespace-tokenize and tag every token; output order and length
     mirror the token stream."""
-    return [analyze(token, dictionary, task, fallback) for token in text.split()]
+    return [analyze(token, dictionary, task) for token in text.split()]
 
 
 def all_solutions(word: str, dictionary: MorphDictionary) -> tuple[MorphSolution, ...]:

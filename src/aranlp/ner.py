@@ -290,7 +290,8 @@ def load_gazetteer(source: str | Path | Iterable[str]) -> dict[str, str]:
     """Gazetteer TSV (a path or its lines): surface n-gram <TAB> type.  The
     n-gram is stored as its whitespace-split tokens joined by one space,
     the form the tagger joins sentence tokens into, so "a  b" is keyed
-    "a b".  Equal type names come back as one shared string for the
+    "a b".  A second row for one n-gram raises MalformedRow, whatever its
+    type.  Equal type names come back as one shared string for the
     duration of one load."""
     gazetteer: dict[str, str] = {}
     type_names: dict[str, str] = {}
@@ -300,7 +301,10 @@ def load_gazetteer(source: str | Path | Iterable[str]) -> dict[str, str]:
             raise MalformedRow(lineno, "both n-gram and type must be non-empty")
         if len(parts) > GAZETTEER_MAX_TOKENS:
             raise MalformedRow(lineno, f"n-gram must have 1..{GAZETTEER_MAX_TOKENS} tokens")
-        gazetteer[" ".join(parts)] = type_names.setdefault(type_name, type_name)
+        key = " ".join(parts)
+        if key in gazetteer:
+            raise MalformedRow(lineno, f"repeated n-gram {key!r}, first typed {gazetteer[key]!r}")
+        gazetteer[key] = type_names.setdefault(type_name, type_name)
     return gazetteer
 
 

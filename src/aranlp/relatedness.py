@@ -64,6 +64,8 @@ class EmbeddingProvider(Protocol):
     def pool(self, sentence: str) -> Vector: ...
 
 
+TRIGRAM_DIMENSION = 256  # the length of every HashedTrigramProvider vector
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -112,7 +114,8 @@ class HashedTrigramProvider:
 
     Each token is wrapped in boundary markers and its character trigrams
     are hashed with FNV-1a over UTF-8 (``surrogatepass``, so any str
-    embeds); the low bits pick the dimension index and a high bit the sign.
+    embeds); the hash modulo TRIGRAM_DIMENSION (256) picks the dimension
+    index and its high bit the sign.
 
     ``pool(sentence)`` is the mean of ``embed(sentence)`` built from
     integer counts without per-token vectors.
@@ -125,17 +128,14 @@ class HashedTrigramProvider:
     when full.
     """
 
-    def __init__(self, dimension: int = 256):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        self.dimension = dimension
+    def __init__(self):
         self._prefix_states: dict[str, tuple[int, ...]] = {}
         self._char_tables: dict[str, tuple[int, array]] = {}
 
     def _counts(self, tokens: Sequence[str]) -> list[int]:
         """Signed trigram counts summed over the non-empty tokens, one per
         dimension."""
-        dimension = self.dimension
+        dimension = TRIGRAM_DIMENSION
         heads = self._prefix_states
         chars = self._char_tables
         counts = [0] * dimension

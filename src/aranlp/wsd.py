@@ -48,6 +48,7 @@ KINDS = (KIND_ENTITY, KIND_MULTIWORD, KIND_SINGLEWORD)
 
 MAX_NGRAM = 5
 PROBABILITY_TOLERANCE = 1e-9
+OVERLAP_EPS = 0.01  # OverlapVerifier's smoothing floor
 
 # Most tokens a _Lemmatizer's token -> lemma memo holds before it is
 # cleared.
@@ -225,8 +226,9 @@ class OverlapVerifier:
     """Deterministic gloss-context lemma overlap baseline.
 
     positive = eps + (1 - 2*eps) * |context lemmas ∩ gloss lemmas| /
-    |gloss lemmas|, so a gloss sharing nothing with the context scores the
-    smoothing floor eps and a fully covered gloss scores 1 - eps.
+    |gloss lemmas| with eps = OVERLAP_EPS (0.01), so a gloss sharing
+    nothing with the context scores the smoothing floor eps and a fully
+    covered gloss scores 1 - eps.
 
     Each instance owns one _Lemmatizer, whose bounded token -> lemma memo
     lives as long as the verifier, so a word repeated across glosses and
@@ -237,9 +239,8 @@ class OverlapVerifier:
     scores all glosses of a sentence in a row.
     """
 
-    def __init__(self, dictionary: MorphDictionary, eps: float = 0.01):
+    def __init__(self, dictionary: MorphDictionary):
         self.dictionary = dictionary
-        self.eps = eps
         self._lemmatizer = _Lemmatizer(dictionary)
         # (context, its lemma set); the empty context has no lemmas.
         self._last_context: tuple[str, set[str]] = ("", set())
@@ -255,7 +256,7 @@ class OverlapVerifier:
             if gloss_lemmas
             else 0.0
         )
-        return self.eps + (1.0 - 2.0 * self.eps) * ratio
+        return OVERLAP_EPS + (1.0 - 2.0 * OVERLAP_EPS) * ratio
 
 
 class OracleVerifier:

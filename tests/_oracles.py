@@ -15,7 +15,6 @@ from collections.abc import Sequence
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from aranlp import _tsv, morphology, script
 from aranlp.errors import DuplicateExactRow, EmptyDictionary, MalformedRow
@@ -55,6 +54,28 @@ def random_token(rng: random.Random, max_letters: int = 6) -> str:
             marks += script.SHADDAH
         chars.append("".join(sorted(marks, key=unicodedata.combining)))
     return unicodedata.normalize("NFC", "".join(chars))
+
+
+# The contract fuzzers' alphabet: whole Arabic tokens with marks, and
+# pieces of every input format (tabs, IOB labels and type names, scores,
+# comments), plus NUL, BOM, U+200F and the codepoints that end a line for
+# str.splitlines but not for the toolkit.
+FUZZ_PIECES = [
+    "\t", " ", "B", "I", "O", "B I", "PERS", "PERS\t", "GPE\tB", "%", "nan", "1e400", "0.5",
+    "3", "0.5\t3", "85%\t10", "#", "-", "\x00", "\ufeff", "\u200f", "\u2028", "\x85",
+    "\u064e", "\u0651", "\u0640",
+]
+
+
+def fuzz_text(rng: random.Random, pieces: Sequence[str] = FUZZ_PIECES) -> str:
+    """Up to four lines of up to four pieces each (a piece is a random
+    token or one of ``pieces``), the last line break optional."""
+    lines = [
+        "".join(random_token(rng) if rng.random() < 0.4 else rng.choice(pieces)
+                for _ in range(rng.randint(0, 4)))
+        for _ in range(rng.randint(0, 4))
+    ]
+    return "\n".join(lines) + rng.choice(["", "\n"])
 
 
 def reference_decode(row) -> list[tuple[int, int]]:
@@ -696,14 +717,11 @@ def reference_ar_strip(text, *, diacritics=False, shaddah=False, digits=False,
     return "".join(out)
 
 
-def reference_load_dictionary(source, tagset=None, version=None):
+def reference_load_dictionary(source):
     """load_dictionary as it was before the one-pass parse, verbatim: each
     stripped field is normalized on its own, and a set of every row seen
     finds duplicates."""
-    if tagset is None:
-        tagset = morphology.load_tagset()
-    if isinstance(source, (str, Path)) and version is None:
-        version = Path(source).name
+    tagset = morphology.load_tagset()
     grouped: dict[str, list[MorphSolution]] = {}
     seen_rows: set[tuple[str, str, str, str]] = set()
     for lineno, fields in _tsv.rows(source, 5):
@@ -712,7 +730,7 @@ def reference_load_dictionary(source, tagset=None, version=None):
         )
         if not wordform or not lemma:
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
-        if tagset and pos not in tagset:
+        if pos not in tagset:
             raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
         try:
             frequency = int(freq_text)
@@ -733,7 +751,7 @@ def reference_load_dictionary(source, tagset=None, version=None):
         wordform: tuple(sorted(sols, key=lambda s: (-s.frequency, s.lemma, s.pos, s.root)))
         for wordform, sols in grouped.items()
     }
-    return MorphDictionary(entries, version or "unversioned")
+    return MorphDictionary(entries)
 
 
 # White space that str.strip removes; NFC maps U+2000 and U+2001 to U+2002

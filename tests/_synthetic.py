@@ -81,7 +81,7 @@ def build_corpus(seed: int = 2024, sentence_count: int = 25) -> SyntheticCorpus:
     for surface in fillers[:5]:
         dict_rows.append(f"{surface}\tL{surface}\tpart\tr{surface}\t{rng.randint(1, 999)}")
 
-    dictionary = load_dictionary(dict_rows, version="synthetic")
+    dictionary = load_dictionary(dict_rows)
 
     sentences: list[str] = []
     gold: list[AnnotatedSentence] = []

@@ -205,7 +205,7 @@ def _throughput_dictionary(rng: random.Random, entries: int):
         rows.append(
             f"{word}\t{word}\t{rng.choice(tags)}\t{word[:3]}\t{rng.randint(1, 9999)}"
         )
-    return load_dictionary(rows, version="generated-100k"), sorted(wordforms)
+    return load_dictionary(rows), sorted(wordforms)
 
 
 def test_c08_morphology_throughput_and_determinism():
@@ -238,7 +238,7 @@ def test_c08_morphology_throughput_and_determinism():
     second = render(load_dictionary([  # fresh parse of the same rows
         f"{w}\t{s.lemma}\t{s.pos}\t{s.root}\t{s.frequency}"
         for w, sols in dictionary.entries.items() for s in sols
-    ], version="generated-100k"))
+    ]))
     assert first == second
     report(8, f"{rate:,.0f} analyze calls/second; two runs byte-identical")
 

@@ -21,7 +21,7 @@ from aranlp.wsd import (
 )
 
 import cli_goldens
-from _oracles import random_token
+from _oracles import fuzz_text
 from _synthetic import build_corpus
 
 MORPH = "tests/data/morph_dict.tsv"
@@ -188,16 +188,6 @@ class TestLineReaders:
         assert [json.loads(line)["tokens"] for line in lines[:-1]] == [["ذهب", "الولد"], ["كتب"]]
 
 
-# The contract fuzzer's stdin alphabet: whole Arabic tokens with marks,
-# and pieces of every input format (tabs, IOB labels and type names,
-# scores, comments), plus NUL, BOM, U+200F and the codepoints that end a
-# line for str.splitlines but not for the CLI.
-FUZZ_PIECES = [
-    "\t", " ", "B", "I", "O", "B I", "PERS", "PERS\t", "GPE\tB", "%", "nan", "1e400", "0.5",
-    "3", "0.5\t3", "85%\t10", "#", "-", "\x00", "\ufeff", "\u200f", "\u2028", "\x85",
-    "\u064e", "\u0651", "\u0640",
-]
-
 # The twelve subcommands that read text from stdin.
 FUZZ_COMMANDS = {
     "translit-bw": ["translit", "--to", "bw"],
@@ -214,17 +204,6 @@ FUZZ_COMMANDS = {
     "wsd-annotate": ["wsd", "annotate", "--inventory", INV, "--dict", MORPH, "--gazetteer", GAZ],
     "eval": ["eval"],
 }
-
-
-def fuzz_text(rng: random.Random) -> str:
-    """Up to four lines of up to four pieces each, the last line break
-    optional."""
-    lines = [
-        "".join(random_token(rng) if rng.random() < 0.4 else rng.choice(FUZZ_PIECES)
-                for _ in range(rng.randint(0, 4)))
-        for _ in range(rng.randint(0, 4))
-    ]
-    return "\n".join(lines) + rng.choice(["", "\n"])
 
 
 class TestContractFuzz:

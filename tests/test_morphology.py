@@ -78,8 +78,12 @@ class TestLoadDictionary:
         bad.write_text("كتب\tكَتَبَ\twhatever\tكتب\t10\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_dictionary(bad)
-        loaded = load_dictionary(bad, tagset=frozenset())
-        assert loaded.entries["كتب"][0].pos == "whatever"
+
+    def test_minus_zero_frequency_loads_as_zero(self):
+        rows = ["كتب\tكَتَبَ\tverb\tكتب\t-0", "كتب\tكِتابٌ\tnoun\tكتب\t 0"]
+        loaded = load_dictionary(rows)
+        assert loaded == reference_load_dictionary(rows)
+        assert [s.frequency for s in loaded.entries["كتب"]] == [0, 0]
 
     def test_duplicate_exact_row(self, tmp_path):
         bad = tmp_path / "dup.tsv"
@@ -130,7 +134,6 @@ def _bad_row(rng: random.Random, good: list[str]) -> tuple[str, set[str]]:
 class TestLoaderOracle:
     """load_dictionary parses as the per-field reference it replaces."""
 
-    TAGSETS = [None, frozenset(), frozenset({"noun", "verb", "prep"})]
     MESSAGES = [
         "must be non-empty", "tag set", "not an integer", "non-negative", "tab-separated",
         "duplicate solution",
@@ -145,21 +148,21 @@ class TestLoaderOracle:
     }
 
     @staticmethod
-    def _outcome(load, source, tagset):
+    def _outcome(load, source):
         try:
-            loaded = load(source, tagset=tagset)
+            loaded = load(source)
         except (MalformedRow, DuplicateExactRow, EmptyDictionary) as exc:
             return type(exc), str(exc), getattr(exc, "line_number", None)
         return loaded, list(loaded.entries.items())
 
-    def _load_both(self, lines, tagset, tmp_path, seen):
+    def _load_both(self, lines, tmp_path, seen):
         """Load ``lines`` from every kind of source with the loader and the
         reference; assert equal outcomes and return the loader's."""
         path = tmp_path / "dictionary.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for name, make in self.SOURCES.items():
-            mine = self._outcome(load_dictionary, make(lines, path), tagset)
-            expected = self._outcome(reference_load_dictionary, make(lines, path), tagset)
+            mine = self._outcome(load_dictionary, make(lines, path))
+            expected = self._outcome(reference_load_dictionary, make(lines, path))
             assert mine == expected, (name, lines)
             seen[name] += 1
         return mine
@@ -170,10 +173,10 @@ class TestLoaderOracle:
         seen = Counter()
         for _ in range(150):
             lines = random_dictionary_lines(rng, tags, rng.randint(0, 40))
-            self._load_both(lines, rng.choice([None, frozenset()]), tmp_path, seen)
+            self._load_both(lines, tmp_path, seen)
             text = "\n".join(lines)
             data = [line.split("\t") for line in lines if line.strip() and line[0] != "#"]
-            entries = reference_load_dictionary(lines, tagset=frozenset()).entries if data else {}
+            entries = reference_load_dictionary(lines).entries if data else {}
             seen["multi-solution"] += any(len(v) > 1 for v in entries.values())
             seen["tied frequencies"] += any(
                 len({s.frequency for s in v}) < len(v) for v in entries.values()
@@ -207,15 +210,15 @@ class TestLoaderOracle:
             lines = list(good)
             lines.insert(rng.randint(0, len(lines)), bad)
             lines += random_dictionary_lines(rng, tags, rng.randint(0, 5))
-            mine = self._load_both(lines, rng.choice(self.TAGSETS), tmp_path, seen)
-            if not isinstance(mine[0], type):  # an unknown tag with no tag set, or -0
-                seen["loaded"] += 1
-                continue
+            mine = self._load_both(lines, tmp_path, seen)
+            # every bad row raises: a -0 frequency alone repeats the row it
+            # was drawn from, so it raises DuplicateExactRow
+            assert isinstance(mine[0], type), (bad, faults)
             seen[mine[0].__name__] += 1
             seen.update(key for key in self.MESSAGES if key in mine[1])
             seen["several faults"] += len(faults) > 1
         assert all(seen[key] for key in (
-            "MalformedRow", "DuplicateExactRow", "several faults", "loaded", *self.MESSAGES,
+            "MalformedRow", "DuplicateExactRow", "several faults", *self.MESSAGES,
             *self.SOURCES,
         )), seen
 
@@ -247,26 +250,24 @@ class TestSharedFields:
         rng = random.Random(1109)
         tags = sorted(load_tagset())[:5]
         seen = Counter()
-        for tagset in [None, frozenset(), frozenset(tags)]:
-            for _ in range(10):
-                lines = self._lines(rng, tags)
-                loaded = load_dictionary(lines, tagset=tagset)
-                assert loaded == reference_load_dictionary(lines, tagset=tagset)
-                solutions = [s for v in loaded.entries.values() for s in v]
-                for field in ("pos", "root", "frequency"):
-                    assert one_object_per_value(getattr(s, field) for s in solutions), field
-                if tagset:
-                    assert {id(s.pos) for s in solutions} <= {id(tag) for tag in tagset}
-                for wordform, ranked in loaded.entries.items():
-                    for solution in ranked:
-                        if solution.lemma == wordform:
-                            assert solution.lemma is wordform
-                            seen["lemma is wordform"] += 1
-                first = {}
-                for line in lines:
-                    wordform, lemma = (f.strip() for f in line.split("\t")[:2])
-                    if first.setdefault(wordform, lemma) != wordform and lemma == wordform:
-                        seen["lemma-equal row after the first"] += 1
+        for _ in range(10):
+            lines = self._lines(rng, tags)
+            loaded = load_dictionary(lines)
+            assert loaded == reference_load_dictionary(lines)
+            solutions = [s for v in loaded.entries.values() for s in v]
+            for field in ("pos", "root", "frequency"):
+                assert one_object_per_value(getattr(s, field) for s in solutions), field
+            assert {id(s.pos) for s in solutions} <= {id(tag) for tag in load_tagset()}
+            for wordform, ranked in loaded.entries.items():
+                for solution in ranked:
+                    if solution.lemma == wordform:
+                        assert solution.lemma is wordform
+                        seen["lemma is wordform"] += 1
+            first = {}
+            for line in lines:
+                wordform, lemma = (f.strip() for f in line.split("\t")[:2])
+                if first.setdefault(wordform, lemma) != wordform and lemma == wordform:
+                    seen["lemma-equal row after the first"] += 1
         assert seen["lemma is wordform"] and seen["lemma-equal row after the first"], seen
 
 
@@ -296,14 +297,6 @@ class TestAnalyze:
     def test_unknown_task(self, morph_dict):
         with pytest.raises(ValueError):
             analyze("ذهب", morph_dict, "stem")
-
-    def test_fallback_hook(self, morph_dict):
-        filler = MorphSolution("قَقٌّ", "noun", "قق", 1)
-        tagged = analyze("قق", morph_dict, fallback=lambda w: filler)
-        assert tagged.source == "fallback"
-        assert tagged.solution == filler
-        # in-vocabulary words never reach the fallback
-        assert analyze("ذهب", morph_dict, fallback=lambda w: filler).source == "exact"
 
     def test_determinism_and_context_independence(self, morph_dict):
         alone = analyze("ذهب", morph_dict)

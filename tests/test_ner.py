@@ -496,6 +496,18 @@ class TestInterfaces:
         with pytest.raises(MalformedRow):
             load_gazetteer(path)
 
+    @pytest.mark.parametrize("second_type", ["ORG", "PERS"])
+    def test_a_repeated_ngram_raises_at_its_line(self, second_type, tmp_path):
+        # the repeat is written another way: padded and with a doubled space
+        lines = ["# people\n", "أحمد علي\tPERS\n", "مصر\tGPE\n", f" أحمد  علي \t{second_type}\n"]
+        path = tmp_path / "g.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        for source in (path, lines, [line.rstrip("\n") for line in lines]):
+            with pytest.raises(MalformedRow) as err:
+                load_gazetteer(source)
+            assert err.value.line_number == 4
+            assert str(err.value) == "line 4: repeated n-gram 'أحمد علي', first typed 'PERS'"
+
     def test_equal_type_names_are_one_object(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("مصر\tGPE\nتونس\t GPE\nوزارة الاقتصاد\tORG\nليبيا\tGPE\n", encoding="utf-8")

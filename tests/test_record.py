@@ -38,7 +38,7 @@ DRAWS = {
     TaggedToken: lambda rng: (
         random_token(rng),
         _solution(rng) if rng.random() < 0.7 else None,
-        rng.choice(["exact", "stripped", "fallback", "oov"]),
+        rng.choice(["exact", "stripped", "oov"]),
         rng.choice(TASKS),
     ),
     VerificationPair: lambda rng: (

@@ -21,6 +21,7 @@ from aranlp.relatedness import (
     _CHAR_MEMO_LIMIT,
     _MASK64,
     _PREFIX_MEMO_LIMIT,
+    TRIGRAM_DIMENSION,
     HashedTrigramProvider,
     PairScore,
     SentencePair,
@@ -70,7 +71,7 @@ class TestMeanPool:
 
     def test_equals_per_index_reference(self):
         rng = random.Random(4242)
-        provider = HashedTrigramProvider(dimension=32)
+        provider = HashedTrigramProvider()
         order_sensitive = 0
         for _ in range(300):
             count, dimension = rng.randint(1, 12), rng.randint(0, 24)
@@ -176,7 +177,7 @@ class TestProvider:
         provider = HashedTrigramProvider()
         vectors = provider.embed("كلمة")
         assert len(vectors) == 1
-        assert len(vectors[0]) == provider.dimension == 256
+        assert len(vectors[0]) == TRIGRAM_DIMENSION == 256
 
     def test_one_vector_per_token(self):
         assert len(HashedTrigramProvider().embed("ثلاث كلمات هنا")) == 3
@@ -185,28 +186,16 @@ class TestProvider:
         with pytest.raises(EmptySentence):
             HashedTrigramProvider().embed("   ")
 
-    def test_invalid_dimension_rejected_at_construction(self):
-        for bad in (0, -3, 2.5, 256.0, "8", None):
-            with pytest.raises(ValueError, match="dimension must be a positive integer"):
-                HashedTrigramProvider(bad)
-
     def test_known_fingerprint_is_stable(self):
         # "^a$" is a single trigram: exactly one signed unit lands in the
         # vector; any change to the hashing scheme must be deliberate
-        vector = HashedTrigramProvider(dimension=8)._token_vector("a")
-        assert len(vector) == 8
+        vector = HashedTrigramProvider()._token_vector("a")
+        assert len(vector) == 256
         assert sum(abs(x) for x in vector) == 1.0
         # recorded vectors over ASCII, Arabic, diacritized and astral tokens
         # ("ab𝒜" ends a trigram in a 4-byte character); a cancelled index
         # reads 0.0 as an untouched one does
         sentence = "a كتاب كَتَبَ 𝒜 ab𝒜"
-        assert HashedTrigramProvider(dimension=8).embed(sentence) == [
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-            [1.0, 1.0, 1.0, 0.0, -1.0, 0.0, -1.0, 1.0],
-            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0],
-        ]
         nonzero = [
             {204: 1.0},
             {62: -1.0, 115: 1.0, 158: 1.0, 204: 1.0},
@@ -215,7 +204,7 @@ class TestProvider:
             {38: 1.0, 135: -1.0, 220: 1.0},
         ]
         expected = [[row.get(i, 0.0) for i in range(256)] for row in nonzero]
-        vectors = HashedTrigramProvider(dimension=256).embed(sentence)
+        vectors = HashedTrigramProvider().embed(sentence)
         assert vectors == expected
         assert all(math.copysign(1.0, x) == 1.0 for v in vectors for x in v if x == 0.0)
 
@@ -413,12 +402,12 @@ def _cancelling_sentence(dimension):
 
 
 class TestPooledPath:
-    DIMENSIONS = (1, 7, 256, 1000)
+    DIMENSIONS = (256,)
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_embed_and_pooled_equal_the_oracle(self, dimension):
         rng = random.Random(dimension)
-        provider = HashedTrigramProvider(dimension)
+        provider = HashedTrigramProvider()
         oracle = ReferenceTrigramProvider(dimension)
         for _ in range(150):
             sentence = random_embedding_sentence(rng)
@@ -431,7 +420,7 @@ class TestPooledPath:
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_relatedness_equals_the_first_formula(self, dimension):
         rng = random.Random(100 + dimension)
-        provider = HashedTrigramProvider(dimension)
+        provider = HashedTrigramProvider()
         oracle = ReferenceTrigramProvider(dimension)
         compared = 0
         for _ in range(150):
@@ -449,7 +438,7 @@ class TestPooledPath:
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_a_lone_surrogate_embeds_as_the_oracle_does(self, dimension):
         sentence, other = "ا\ud800ب", "كتب \udfffا"
-        provider = HashedTrigramProvider(dimension)
+        provider = HashedTrigramProvider()
         oracle = ReferenceTrigramProvider(dimension)
         expected = oracle.embed(sentence)
         assert provider.embed(sentence) == expected
@@ -460,7 +449,7 @@ class TestPooledPath:
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_cancelling_sentence_is_a_zero_vector(self, dimension):
         sentence = _cancelling_sentence(dimension)
-        provider = HashedTrigramProvider(dimension)
+        provider = HashedTrigramProvider()
         zero = [0.0] * dimension
         assert provider.pool(sentence) == zero
         assert reference_mean_pool(ReferenceTrigramProvider(dimension).embed(sentence)) == zero
@@ -484,7 +473,7 @@ class TestPooledPath:
         assert proxy.embed_calls == 0
 
     def test_a_provider_with_only_pool_is_enough(self):
-        trigram = HashedTrigramProvider(16)
+        trigram = HashedTrigramProvider()
 
         class PoolOnly:
             def __init__(self):
@@ -513,8 +502,8 @@ class TestPooledPath:
                 call(" \t\n ")
 
     def test_prefix_memo_stays_within_its_bound(self):
-        provider = HashedTrigramProvider(64)
-        oracle = ReferenceTrigramProvider(64)
+        provider = HashedTrigramProvider()
+        oracle = ReferenceTrigramProvider(TRIGRAM_DIMENSION)
         watch = provider._prefix_states = _SizeWatch()
         # 300 x 300 distinct two-character tokens: each is the head of one
         # trigram, so more than the limit of distinct heads stream through
@@ -529,8 +518,8 @@ class TestPooledPath:
         assert len(watch) <= _PREFIX_MEMO_LIMIT
 
     def test_char_memo_stays_within_its_bound(self):
-        provider = HashedTrigramProvider(64)
-        oracle = ReferenceTrigramProvider(64)
+        provider = HashedTrigramProvider()
+        oracle = ReferenceTrigramProvider(TRIGRAM_DIMENSION)
         watch = provider._char_tables = _SizeWatch()
         # tokens "a" + one of more distinct CJK ideographs than the limit:
         # each ideograph is the third character of its token's first trigram

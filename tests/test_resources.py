@@ -248,8 +248,6 @@ MALFORMED_ROWS = [
      "كتب\tكَتَبَ\tverb\t10\n", 3, "expected 5 tab-separated fields, got 4"),
     ("load_dictionary-lines-no-newline", _from_lines(morphology.load_dictionary, False),
      "كتب\tكَتَبَ\tverb\t10\n", 3, "expected 5 tab-separated fields, got 4"),
-    ("load_tagset", _packaged(morphology.load_tagset),
-     "NOUN\tX\n", 3, "expected 1 tab-separated fields, got 2"),
     ("_tag_map", _packaged(morphology._tag_map.__wrapped__),
      "NOUN\tnoun\tX\n", 3, "expected 2 tab-separated fields, got 3"),
     ("load_gazetteer", _from_path(ner.load_gazetteer),

@@ -27,6 +27,7 @@ from aranlp.wsd import (
     KIND_ENTITY,
     KIND_MULTIWORD,
     KIND_SINGLEWORD,
+    OVERLAP_EPS,
     AnnotatedSentence,
     AnnotatedSpan,
     Gloss,
@@ -332,25 +333,21 @@ class TestOverlapVerifierCaches:
         repeated = f"{words[0]} {lemmas[0]} {words[0]} {words[0]}"
         edge_glosses = [Gloss("empty", ""), Gloss("blank", " \t "), Gloss("rep", repeated)]
         glosses = [Gloss(f"g{i}", text(1, 6)) for i in range(30)]
-        verifiers = [OverlapVerifier(morph_dict), OverlapVerifier(morph_dict, eps=0.125)]
+        verifier = OverlapVerifier(morph_dict)
         scores = set()
         for _ in range(40):
             a, b = text(2, 12), text(2, 12)
             for context in (a, b, a):
                 for gloss in rng.sample(glosses, 6) + edge_glosses:
-                    for verifier in verifiers:
-                        expected = reference_overlap_score(
-                            context, gloss.text, morph_dict, verifier.eps
-                        )
-                        assert verifier.score(context, gloss) == expected, (context, gloss)
-                        scores.add(expected)
-                for verifier in verifiers:
-                    last, last_lemmas = verifier._last_context
-                    assert last == context
-                    context_lemmas = reference_lemmatize_tokens(context.split(), morph_dict)
-                    assert last_lemmas == set(context_lemmas)
+                    expected = reference_overlap_score(context, gloss.text, morph_dict, OVERLAP_EPS)
+                    assert verifier.score(context, gloss) == expected, (context, gloss)
+                    scores.add(expected)
+                last, last_lemmas = verifier._last_context
+                assert last == context
+                context_lemmas = reference_lemmatize_tokens(context.split(), morph_dict)
+                assert last_lemmas == set(context_lemmas)
         # The floor, the ceiling and partial overlaps all occurred.
-        assert {0.01, 0.99, 0.125, 0.875} <= scores
+        assert {0.01, 0.99} <= scores
         assert len(scores) > 8
 
     def test_memo_is_bounded(self, morph_dict, inventory, gazetteer):
@@ -374,7 +371,7 @@ class TestOverlapVerifierCaches:
                 caller = "disambiguate"
             else:
                 gloss_text = " ".join(chunk + known[2:6])
-                expected = reference_overlap_score(context, gloss_text, morph_dict, verifier.eps)
+                expected = reference_overlap_score(context, gloss_text, morph_dict, OVERLAP_EPS)
                 assert verifier.score(context, Gloss("g", gloss_text)) == expected
                 caller = "score"
             sizes.append(len(memo))
@@ -636,7 +633,7 @@ def _rebuilt(morph_dict, lemma_prefix=""):
         for wordform, solutions in morph_dict.entries.items()
         for s in solutions
     ]
-    return load_dictionary(rows, version=morph_dict.version)
+    return load_dictionary(rows)
 
 
 class TestDisambiguateEquivalence:
@@ -679,7 +676,7 @@ class TestDisambiguateEquivalence:
         def make():
             return {
                 "overlap": lambda: OverlapVerifier(morph_dict),
-                "overlap-other-dictionary": lambda: OverlapVerifier(other, eps=0.2),
+                "overlap-other-dictionary": lambda: OverlapVerifier(other),
                 "oracle": lambda: OracleVerifier(gold),
                 "forwarding-proxy": lambda: _Forwarding(OverlapVerifier(morph_dict)),
             }[kind]()
