@@ -75,6 +75,10 @@ class UnknownEntityType(AranlpError):
     """A gazetteer or span file names a type outside the configured set."""
 
 
+class InvalidLabel(AranlpError, ValueError):
+    """An IOB row holds a label other than B, I or O."""
+
+
 # --- pluggable components ------------------------------------------------
 
 class TaggerFailure(AranlpError):

@@ -158,7 +158,7 @@ def load_dictionary(source: str | Path | Iterable[str]) -> MorphDictionary:
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
         shared_pos = tags.get(pos)
         if shared_pos is None:
-            raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
+            raise MalformedRow(lineno, f"pos {pos!r} is not in the packaged tag set")
         frequency = frequencies.get(freq_text)
         if frequency is None:
             try:

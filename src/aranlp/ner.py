@@ -17,7 +17,13 @@ from typing import NamedTuple, Protocol
 
 from . import _tsv
 from ._record import record
-from .errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
+from .errors import (
+    InvalidLabel,
+    MalformedRow,
+    MisalignedCorpus,
+    TaggerFailure,
+    UnknownEntityType,
+)
 from .evaluation import CategoryResult, EvalReport, format_percent, json_line
 
 B, I, O = "B", "I", "O"
@@ -80,8 +86,9 @@ class EntitySpan:
 class LabelMatrix:
     """One IOB row per entity type; every row spans all tokens.  Types may
     share one row object (a tagger's all-O row); each distinct row object
-    is checked once, and an invalid one is reported under its first
-    type."""
+    is checked once, and an invalid one is reported under its first type:
+    a row of the wrong length raises ValueError, a label other than B, I
+    or O raises InvalidLabel."""
 
     tokens: tuple[str, ...]
     labels: dict[str, tuple[str, ...]]
@@ -98,7 +105,7 @@ class LabelMatrix:
                 )
             if not _IOB_LABEL_SET.issuperset(row):
                 bad = set(row) - _IOB_LABEL_SET
-                raise ValueError(f"row for {type_name!r} has invalid labels {sorted(bad)}")
+                raise InvalidLabel(f"row for {type_name!r} has invalid labels {sorted(bad)}")
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -112,7 +119,7 @@ def decode_iob(row: Sequence[str]) -> list[tuple[int, int]]:
     """Maximal B(I)* runs as (start, end) spans, sorted and non-overlapping.
 
     An I with no open span starts one (standard IOB2 repair), so decoding
-    is total.
+    is total over rows of B, I and O; any other label raises InvalidLabel.
     """
     if row.count(O) == len(row):
         return []
@@ -131,7 +138,7 @@ def decode_iob(row: Sequence[str]) -> list[tuple[int, int]]:
                 spans.append((start, i))
                 start = None
         else:
-            raise ValueError(f"invalid IOB label {label!r} at position {i}")
+            raise InvalidLabel(f"invalid IOB label {label!r} at position {i}")
     if start is not None:
         spans.append((start, len(row)))
     return spans

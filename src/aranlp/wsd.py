@@ -16,7 +16,9 @@ Pipeline order per sentence:
 4. look up remaining tokens as single words in the single-word inventory;
 5. for each multi-word and single-word hit, in that order, score every
    (context, gloss) pair with the verifier and keep the gloss with the
-   highest positive probability (ties: smallest gloss_id).
+   highest positive probability (ties: smallest gloss_id), in one loop
+   over the hit's glosses that builds no VerificationPair; verify and
+   select_sense are the public reference path for this step.
 
 Tokens with no glosses and no entity tag are omitted from the output.
 """
@@ -203,7 +205,10 @@ class Verifier(Protocol):
 
 
 def verify(context: str, gloss: Gloss, verifier: Verifier) -> VerificationPair:
-    """Run one verification; any misbehavior surfaces as VerifierFailure."""
+    """Run one verification; any misbehavior surfaces as VerifierFailure.
+
+    With select_sense, the public reference path for disambiguate's sense
+    selection, which runs the same checks in its own loop."""
     try:
         positive = float(verifier.score(context, gloss))
     except Exception as exc:
@@ -215,7 +220,8 @@ def verify(context: str, gloss: Gloss, verifier: Verifier) -> VerificationPair:
 
 def select_sense(pairs: Sequence[VerificationPair]) -> Gloss:
     """The gloss with the highest positive probability; ties go to the
-    lexicographically smallest gloss_id."""
+    lexicographically smallest gloss_id.  With verify, the public
+    reference path for disambiguate's sense selection."""
     if not pairs:
         raise EmptyCandidates("no verification pairs to select from")
     best = min(pairs, key=lambda p: (-p.positive, p.gloss.gloss_id))
@@ -316,7 +322,14 @@ def disambiguate(
     """Run the full pipeline on one sentence; see the module docstring for
     the phase order.  Output spans are sorted by position; entity and
     multi-word spans never overlap, and single-word spans never fall
-    inside them."""
+    inside them.
+
+    Each hit's sense is selected as select_sense over verify's pairs
+    would select it, in one loop that builds no pairs: verifier.score is
+    looked up at most once per sentence and called once per gloss.  A
+    raising verifier or a score outside [0, 1] (NaN included) raises
+    VerifierFailure, and a hit with no glosses raises EmptyCandidates,
+    each with verify's or select_sense's message."""
     tokens = sentence.split()
     if not tokens:
         return []
@@ -354,9 +367,32 @@ def disambiguate(
     annotations = [
         AnnotatedSpan(s.start, s.end, KIND_ENTITY, s.type) for s in entity_spans
     ]
+    # verify and select_sense in one loop per hit.  verifier.score is
+    # looked up inside the try at the first hit with glosses, where verify
+    # first looks it up.  The running best key (-positive, gloss_id)
+    # starts above every real key (-positive <= 0) and is replaced only by
+    # a strictly smaller one, so the first of equal keys wins, as min does.
+    score = None
     for start, end, kind, glosses in hits:
-        pairs = [verify(sentence, g, verifier) for g in glosses]
-        annotations.append(AnnotatedSpan(start, end, kind, select_sense(pairs).gloss_id))
+        if not glosses:
+            raise EmptyCandidates("no verification pairs to select from")
+        if score is None:
+            try:
+                score = verifier.score
+            except Exception as exc:
+                raise VerifierFailure(f"verifier raised {exc!r}") from exc
+        best = (1.0, "")
+        for gloss in glosses:
+            try:
+                positive = float(score(sentence, gloss))
+            except Exception as exc:
+                raise VerifierFailure(f"verifier raised {exc!r}") from exc
+            if not 0.0 <= positive <= 1.0:
+                raise VerifierFailure(f"verifier returned {positive}, outside [0, 1]")
+            key = (-positive, gloss.gloss_id)
+            if key < best:
+                best = key
+        annotations.append(AnnotatedSpan(start, end, kind, best[1]))
     annotations.sort(key=lambda a: (a.start, a.end, a.kind))
     return annotations
 

@@ -731,7 +731,7 @@ def reference_load_dictionary(source):
         if not wordform or not lemma:
             raise MalformedRow(lineno, "wordform and lemma must be non-empty")
         if pos not in tagset:
-            raise MalformedRow(lineno, f"pos {pos!r} is not in the configured tag set")
+            raise MalformedRow(lineno, f"pos {pos!r} is not in the packaged tag set")
         try:
             frequency = int(freq_text)
         except ValueError:

@@ -4,7 +4,13 @@ from collections import Counter
 
 import pytest
 
-from aranlp.errors import MalformedRow, MisalignedCorpus, TaggerFailure, UnknownEntityType
+from aranlp.errors import (
+    InvalidLabel,
+    MalformedRow,
+    MisalignedCorpus,
+    TaggerFailure,
+    UnknownEntityType,
+)
 from aranlp.ner import (
     PRF,
     EntitySpan,
@@ -50,13 +56,36 @@ class TestDecodeIob:
         assert decode_iob(["I", "I", "O"]) == [(0, 2)]
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabel) as info:
             decode_iob(["B", "X"])
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "invalid IOB label 'X' at position 1"
 
     @pytest.mark.parametrize("row", [["O", "X"], ["X"], ("O", "o")])
     def test_invalid_label_without_a_span(self, row):
-        with pytest.raises(ValueError, match="invalid IOB label"):
+        with pytest.raises(InvalidLabel, match="invalid IOB label"):
             decode_iob(row)
+
+    def test_random_rows_decode_or_raise_invalid_label(self):
+        # Rows over B, I, O and junk labels: a row of B, I and O decodes
+        # as the reference does; any other row raises InvalidLabel at its
+        # first junk label.
+        rng = random.Random(31)
+        labels = ["B", "I", "O", "b", "X", "", "B-PERS", "0"]
+        decoded = rejected = 0
+        for _ in range(2000):
+            row = rng.choices(labels, weights=[6, 6, 12, 1, 1, 1, 1, 1], k=rng.randint(0, 9))
+            junk = [(i, label) for i, label in enumerate(row) if label not in ("B", "I", "O")]
+            if junk:
+                with pytest.raises(InvalidLabel) as info:
+                    decode_iob(row)
+                i, label = junk[0]
+                assert str(info.value) == f"invalid IOB label {label!r} at position {i}"
+                rejected += 1
+            else:
+                assert decode_iob(row) == reference_decode(row), row
+                decoded += 1
+        assert decoded > 500 and rejected > 500
 
     def test_exhaustive_oracle_up_to_length_six(self):
         for length in range(7):
@@ -72,9 +101,15 @@ class TestDecodeIob:
 
 class TestLabelMatrix:
     def test_invalid_label_message(self):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InvalidLabel) as info:
             LabelMatrix(("a", "b", "c"), {"PERS": ("O", "O", "O"), "ORG": ("B", "b", "X")})
         assert str(info.value) == "row for 'ORG' has invalid labels ['X', 'b']"
+
+    def test_matrix_file_reports_an_invalid_label_as_a_malformed_row(self):
+        with pytest.raises(MalformedRow) as info:
+            read_matrix_file(["a b", "PERS\tB O", "", "c", "ORG\tX"])
+        assert not isinstance(info.value, InvalidLabel)
+        assert str(info.value) == "line 4: row for 'ORG' has invalid labels ['X']"
 
     @pytest.mark.parametrize("golden", ["ner-tag-records.out", "ner-decode-records.out"])
     def test_records_render_the_ner_record_goldens(self, golden, data_dir):

@@ -759,6 +759,123 @@ class TestDisambiguateEquivalence:
         assert vars(morph_dict) == state
 
 
+class _QuantizedVerifier:
+    """Scores each (context, gloss) with one of a few values, drawn from a
+    generator seeded by the pair, so ties on positive are common and two
+    verifiers with one seed score alike.  With a fault, a pair drawn at
+    the given rate raises or returns the fault value instead."""
+
+    LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def __init__(self, seed, fault=None, rate=0.0):
+        self.seed, self.fault, self.rate = seed, fault, rate
+
+    def score(self, context, gloss):
+        rng = random.Random(f"{self.seed}|{context}|{gloss.gloss_id}|{gloss.text}")
+        if rng.random() < self.rate:
+            if self.fault == "raises":
+                raise RuntimeError(f"no score for {gloss.gloss_id}")
+            return self.fault
+        return rng.choice(self.LEVELS)
+
+
+class TestOneLoopSelection:
+    """disambiguate's one loop per hit against verify and select_sense
+    (through `_oracles.reference_disambiguate`) on random inventories
+    built directly, so a gloss tuple may repeat a gloss_id."""
+
+    WORDS = ("a", "b", "c", "d", "e", "f")
+
+    def _case(self, seed):
+        rng = random.Random(seed)
+
+        def glosses():
+            # gloss_ids drawn out of order; sometimes one id twice
+            ids = rng.sample(range(12), rng.randint(1, 5))
+            if rng.random() < 0.3:
+                ids.append(rng.choice(ids))
+            return tuple(Gloss(f"g{k}", rng.choice(self.WORDS)) for k in ids)
+
+        singleword = {w: glosses() for w in self.WORDS if rng.random() < 0.8}
+        multiword = {
+            " ".join(rng.sample(self.WORDS, rng.randint(2, 3))): glosses() for _ in range(3)
+        }
+        sentences = [
+            " ".join(rng.choices(self.WORDS, k=rng.randint(1, 7))) for _ in range(60)
+        ]
+        return SenseInventory(multiword, singleword), sentences
+
+    def test_equals_select_sense_on_ties_and_repeated_ids(self):
+        dictionary = _identity_dict()
+        tagger = GazetteerTagger({"e f": "ORG"})
+        ties = repeats = 0
+        for seed in range(40):
+            inventory, sentences = self._case(seed)
+            verifier = _QuantizedVerifier(seed)
+            for sentence in sentences:
+                expected = reference_disambiguate(
+                    sentence, inventory, tagger, verifier, dictionary)
+                assert disambiguate(sentence, inventory, tagger, verifier, dictionary) \
+                    == expected, (seed, sentence)
+                # a single-word candidate set whose top score is shared by
+                # distinct ids, the smallest of them not first
+                for word in set(sentence.split()) & inventory.singleword.keys():
+                    glosses = inventory.singleword[word]
+                    scores = [verifier.score(sentence, g) for g in glosses]
+                    top = [g.gloss_id for g, p in zip(glosses, scores) if p == max(scores)]
+                    ties += len(set(top)) > 1 and top[0] != min(top)
+            for glosses in [*inventory.singleword.values(), *inventory.multiword.values()]:
+                ids = [g.gloss_id for g in glosses]
+                repeats += len(set(ids)) < len(ids)
+        assert ties > 100 and repeats > 20
+
+    @pytest.mark.parametrize("fault", ["raises", 1.5, -0.1, float("nan"), "x", "no-score"])
+    def test_a_failing_verifier_fails_alike(self, fault):
+        dictionary = _identity_dict()
+        tagger = GazetteerTagger({"e f": "ORG"})
+        failures = passes = 0
+        for seed in range(20):
+            inventory, sentences = self._case(seed)
+            verifier = object() if fault == "no-score" else _QuantizedVerifier(seed, fault, 0.1)
+            for sentence in sentences:
+                try:
+                    expected = reference_disambiguate(
+                        sentence, inventory, tagger, verifier, dictionary)
+                except VerifierFailure as exc:
+                    with pytest.raises(VerifierFailure) as err:
+                        disambiguate(sentence, inventory, tagger, verifier, dictionary)
+                    assert type(err.value) is type(exc)
+                    assert str(err.value) == str(exc)
+                    assert repr(err.value.__cause__) == repr(exc.__cause__)
+                    failures += 1
+                else:
+                    assert disambiguate(sentence, inventory, tagger, verifier, dictionary) \
+                        == expected
+                    passes += 1
+        assert failures > 50
+        assert fault == "no-score" or passes > 50
+
+    def test_an_empty_gloss_tuple_raises_empty_candidates(self):
+        dictionary = _identity_dict()
+        tagger = GazetteerTagger({"e f": "ORG"})
+        inventory = SenseInventory({"a b": ()}, {"c": (Gloss("g1", "a"),), "d": ()})
+        verifier = _QuantizedVerifier(0)
+        for sentence in ("a b", "c d", "d", "b a b"):
+            with pytest.raises(EmptyCandidates):
+                reference_disambiguate(sentence, inventory, tagger, verifier, dictionary)
+            with pytest.raises(EmptyCandidates):
+                disambiguate(sentence, inventory, tagger, verifier, dictionary)
+        assert disambiguate("c e f", inventory, tagger, verifier, dictionary) == \
+            reference_disambiguate("c e f", inventory, tagger, verifier, dictionary)
+        # With no score to look up, the first hit decides: an empty one
+        # raises EmptyCandidates, a scored one VerifierFailure.
+        for sentence, error in (("a b c", EmptyCandidates), ("d c", EmptyCandidates),
+                                ("c d", VerifierFailure)):
+            for run in (reference_disambiguate, disambiguate):
+                with pytest.raises(error):
+                    run(sentence, inventory, tagger, object(), dictionary)
+
+
 def _identity_dict():
     from aranlp.morphology import load_dictionary
 
